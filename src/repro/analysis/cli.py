@@ -24,7 +24,7 @@ __all__ = ["add_lint_arguments", "build_parser", "main", "run_lint"]
 
 #: Scanned when no paths are given (missing ones silently skipped, so
 #: the command works from the repo root of a source checkout).
-DEFAULT_TARGETS = ("src", "benchmarks", "tools")
+DEFAULT_TARGETS = ("src", "benchmarks")
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -32,7 +32,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: src benchmarks tools)",
+        help="files or directories to lint (default: src benchmarks)",
     )
     parser.add_argument(
         "--rule",
@@ -75,7 +75,7 @@ def run_lint(args: argparse.Namespace) -> int:
         paths = [target for target in DEFAULT_TARGETS if Path(target).exists()]
         if not paths:
             raise StaticAnalysisError(
-                "no lint targets: none of src/, benchmarks/, tools/ exist"
+                "no lint targets: neither src/ nor benchmarks/ exists"
                 " here and no paths were given"
             )
     report = run_analysis(

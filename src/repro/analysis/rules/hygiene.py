@@ -1,4 +1,4 @@
-"""Telemetry-hygiene rules migrated from ``tools/check_telemetry_hygiene.py``.
+"""Telemetry-hygiene rules: wall clocks, bare prints and raw sleeps.
 
 Three rules, all over the AST (comments and strings can mention
 whatever they like):
@@ -13,9 +13,9 @@ whatever they like):
   :func:`repro.resilience.backoff.sleep` so they stay policy-driven and
   fault-injectable; ``repro/resilience/backoff.py`` is the chokepoint.
 
-Unlike the original script, ``from time import time as now`` followed
-by ``now()`` calls yields **one** finding — at the import, which is the
-root cause — with the alias call lines tagged in the message.
+``from time import time as now`` followed by ``now()`` calls yields
+**one** finding — at the import, which is the root cause — with the
+alias call lines tagged in the message.
 """
 
 from __future__ import annotations

@@ -99,62 +99,18 @@ class _EncodingMemo:
         return self._encoded
 
 
-class _SerialPasses:
-    """The serial pass runner: one thread, one pass over the stream.
-
-    The *pass runner* protocol factors the two data sweeps FISTA makes
-    — the power-iteration step and the full-batch gradient — out of
-    :meth:`L1LogisticRegression.fit_stream`, so an alternative runner
-    (:class:`repro.parallel.ProcessFISTAPasses` fans the shards across
-    worker processes) can slot in without touching the optimiser.  Any
-    runner must reduce per-shard partials in stream order starting from
-    zeros; this one simply *is* that fold, so the serial path's
-    arithmetic is unchanged instruction for instruction.
-    """
-
-    __slots__ = ("stream", "encode")
-
-    def __init__(self, stream, engine: str):
-        self.stream = stream
-        self.encode = _EncodingMemo(engine)
-
-    def power_step(self, v: np.ndarray) -> np.ndarray:
-        """``Σ_s X_sᵀ (X_s v)`` accumulated over one shard pass."""
-        acc = np.zeros(v.shape[0])
-        for X, _ in self.stream:
-            encoded = self.encode(X)
-            acc += sparse.rmatmul(encoded, sparse.matmul(encoded, v))
-        return acc
-
-    def gradient(
-        self, z_w: np.ndarray, z_b: float, n: int, fit_intercept: bool
-    ) -> tuple[np.ndarray, float]:
-        """The exact full-batch logistic gradient at ``(z_w, z_b)``."""
-        grad_w = np.zeros(z_w.shape[0])
-        grad_b = 0.0
-        for X, y in self.stream:
-            encoded = self.encode(X)
-            signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
-            margin = signed * (sparse.matmul(encoded, z_w) + z_b)
-            probs = _sigmoid(-margin)
-            residual = -(signed * probs) / n
-            grad_w += sparse.rmatmul(encoded, residual)
-            if fit_intercept:
-                grad_b += residual.sum()
-        return grad_w, grad_b
-
-
-def _power_lipschitz(
-    power_step, n: int, width: int, seed: int = 0, iterations: int = 30
+def _lipschitz_bound_stream(
+    stream, encode: _EncodingMemo, seed: int = 0, iterations: int = 30
 ) -> float:
-    """:func:`_lipschitz_bound` driven through a pass runner.
+    """:func:`_lipschitz_bound` computed with one shard pass per power step.
 
     ``X.T @ (X @ v)`` decomposes over row blocks as
-    ``Σ_s X_s.T @ (X_s @ v)``, so each power iteration is one
-    ``power_step`` over the shards with only width-sized state held
-    between steps.  With a single shard the arithmetic matches
-    :func:`_lipschitz_bound` exactly.
+    ``Σ_s X_s.T @ (X_s @ v)``, so each power iteration streams the
+    shards once and keeps only width-sized state.  With a single shard
+    the arithmetic matches :func:`_lipschitz_bound` exactly.
     """
+    n = int(stream.n_rows)
+    width = int(stream.onehot_width)
     rng = ensure_rng(seed)
     v = rng.normal(size=width)
     norm = np.linalg.norm(v)
@@ -163,7 +119,11 @@ def _power_lipschitz(
     v /= norm
     sigma = 1.0
     for _ in range(iterations):
-        v = power_step(v)
+        acc = np.zeros(width)
+        for X, _ in stream:
+            encoded = encode(X)
+            acc += sparse.rmatmul(encoded, sparse.matmul(encoded, v))
+        v = acc
         norm = np.linalg.norm(v)
         if norm == 0:
             break
@@ -220,7 +180,6 @@ class L1LogisticRegression(Estimator):
         self,
         stream,
         warm_start: tuple[np.ndarray, float] | None = None,
-        passes=None,
     ) -> "L1LogisticRegression":
         """Fit with exact FISTA, visiting the data as bounded shards.
 
@@ -234,12 +193,6 @@ class L1LogisticRegression(Estimator):
         full-batch ones — this is out-of-core execution, not an
         approximate optimiser — and with a single shard the arithmetic
         is bit-identical to :meth:`fit`.
-
-        ``passes`` substitutes a pass runner for the default serial
-        :class:`_SerialPasses` — e.g.
-        :class:`repro.parallel.ProcessFISTAPasses`, which evaluates the
-        per-shard work on a process pool while preserving the serial
-        reduction order, keeping coefficients bit-identical.
         """
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
@@ -255,19 +208,25 @@ class L1LogisticRegression(Estimator):
         else:
             w = np.zeros(width)
             b = 0.0
-        runner = passes if passes is not None else _SerialPasses(
-            stream, self.engine
-        )
-        L = _power_lipschitz(runner.power_step, n, width) + (
+        encode = _EncodingMemo(self.engine)
+        L = _lipschitz_bound_stream(stream, encode) + (
             0.25 if self.fit_intercept else 0.0
         )
         step = 1.0 / L
         z_w, z_b, t_acc = w.copy(), b, 1.0
         self.n_iter_ = 0
         for iteration in range(self.max_iter):
-            grad_w, grad_b = runner.gradient(
-                z_w, z_b, n, self.fit_intercept
-            )
+            grad_w = np.zeros(width)
+            grad_b = 0.0
+            for X, y in stream:
+                encoded = encode(X)
+                signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
+                margin = signed * (sparse.matmul(encoded, z_w) + z_b)
+                probs = _sigmoid(-margin)
+                residual = -(signed * probs) / n
+                grad_w += sparse.rmatmul(encoded, residual)
+                if self.fit_intercept:
+                    grad_b += residual.sum()
             w_new = _soft_threshold(z_w - step * grad_w, step * self.lam)
             b_new = z_b - step * grad_b
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))

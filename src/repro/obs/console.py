@@ -1,8 +1,8 @@
 """The one place library code is allowed to write to the console.
 
-``tools/check_telemetry_hygiene.py`` (run in CI) forbids bare
-``print()`` inside ``src/repro``: scattered prints are how benchmark
-and CLI output drifts away from anything parseable.  Human-facing
+The ``bare-print`` rule of ``repro lint`` forbids bare ``print()``
+inside ``src/repro``: scattered prints are how benchmark and CLI output
+drifts away from anything parseable.  Human-facing
 output goes through :func:`emit` instead — one chokepoint that keeps an
 explicit stream, can be silenced for tests, and gives future work
 (structured CLI output, log capture) a single seam.

@@ -2,7 +2,7 @@
 
 Every deliberate delay in the library — retry backoff, injected slow
 shards, open-loop load-generator pacing — funnels through
-:func:`sleep`.  ``tools/check_telemetry_hygiene.py`` enforces the
+:func:`sleep`.  The ``raw-sleep`` rule of ``repro lint`` enforces the
 funnel: a bare ``time.sleep()`` anywhere else in ``src/repro`` fails
 the lint.  One chokepoint means sleeping is always attributable (the
 caller states why via the surrounding code) and tests can monkeypatch a

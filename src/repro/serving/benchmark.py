@@ -239,9 +239,6 @@ class ConcurrencyReport:
     #: baseline server's and one per worker-pool configuration.
     baseline_latency_ms: dict = field(default_factory=dict)
     latency_ms: dict[int, dict] = field(default_factory=dict)
-    #: ``"thread"`` (the in-process worker pool) or ``"process"``
-    #: (:class:`repro.parallel.ProcessPredictorPool` sharding).
-    tier: str = "thread"
     #: Serving engine the servers ran (``"implicit"`` or ``"factorized"``).
     engine: str = "implicit"
 
@@ -255,10 +252,10 @@ class ConcurrencyReport:
     def render(self) -> str:
         """Human-readable table of the measured rates."""
         engine_note = (
-            "" if self.engine == "implicit" else f", {self.engine} engine"
+            "" if self.engine == "implicit" else f" ({self.engine} engine)"
         )
         lines = [
-            f"Concurrent serving ({self.tier} tier{engine_note}): "
+            f"Concurrent serving{engine_note}: "
             f"{self.dataset}/{self.model_key} "
             f"({self.strategy}), {self.rows} requests, "
             f"{self.clients} client threads, micro-batch size "
@@ -378,7 +375,6 @@ def concurrent_serving_throughput(
     arrival_rate: float | None = None,
     scale=None,
     strategy: JoinStrategy | None = None,
-    tier: str = "thread",
     engine: str = "implicit",
 ) -> ConcurrencyReport:
     """Measure the concurrent serving runtime under K client threads.
@@ -396,16 +392,9 @@ def concurrent_serving_throughput(
 
     Every concurrent run's predictions are compared against the
     reference; ``report.identical`` is the conjunction.
-
-    ``tier="process"`` swaps the in-process worker pool for the
-    process-sharded :class:`repro.parallel.ProcessPredictorPool` at
-    each ``worker_counts`` entry — same baseline, same identity check,
-    so the two tiers' reports compare like for like.
     """
     from repro.experiments.runner import fit_pipeline
 
-    if tier not in ("thread", "process"):
-        raise ValueError(f"tier must be 'thread' or 'process', got {tier!r}")
     if arrival_rate is not None and arrival_rate <= 0:
         # Fail before the pipeline fit and baseline run, not after.
         raise ValueError(
@@ -437,7 +426,6 @@ def concurrent_serving_throughput(
         clients=clients,
         max_wait_s=max_wait_s,
         cpu_count=os.cpu_count() or 1,
-        tier=tier,
         engine=engine,
     )
 
@@ -451,12 +439,7 @@ def concurrent_serving_throughput(
     report.identical &= results == reference
 
     for workers in worker_counts:
-        pool_kwargs = (
-            {"process_workers": workers}
-            if tier == "process"
-            else {"workers": workers}
-        )
-        with fresh_server(max_wait_s=max_wait_s, **pool_kwargs) as server:
+        with fresh_server(workers=workers, max_wait_s=max_wait_s) as server:
             server.predict_one(requests[0])  # warm caches off the clock
             seconds, results = _drive_clients(
                 server,

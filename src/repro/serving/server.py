@@ -165,14 +165,6 @@ class PredictionServer:
         the pool to the core count — the assembly/predict kernels are
         numpy-heavy and release the GIL in their inner loops, so extra
         workers beyond the cores only add scheduling overhead.
-    process_workers:
-        Size of the process-sharded predictor pool (the GIL-free
-        execution tier).  ``0`` (the default) predicts in this process;
-        ``N > 0`` partitions every flushed micro-batch into contiguous
-        chunks dispatched across ``N`` predictor processes, each
-        holding its own copy of the artifact and feature service, with
-        per-worker telemetry merged back on :meth:`stats`.  Mutually
-        exclusive with ``workers > 1`` — one execution tier per server.
     background_flush:
         Passed to the :class:`MicroBatcher`; set false for
         deterministic tests that control flushing explicitly.
@@ -224,7 +216,6 @@ class PredictionServer:
         max_queue_rows: int | None = None,
         quarantine: bool = False,
         default_deadline_s: float | None = None,
-        process_workers: int = 0,
         engine: str = "implicit",
     ):
         if workers < 1:
@@ -233,15 +224,6 @@ class PredictionServer:
             raise ValueError(
                 f"serving engine must be 'implicit' or 'factorized', "
                 f"got {engine!r}"
-            )
-        if process_workers < 0:
-            raise ValueError(
-                f"process_workers must be >= 0, got {process_workers}"
-            )
-        if process_workers and workers > 1:
-            raise ValueError(
-                "workers (threads) and process_workers are mutually "
-                "exclusive — pick one execution tier per server"
             )
         if validate_fingerprint:
             artifact.check_schema(schema)
@@ -277,23 +259,6 @@ class PredictionServer:
             if workers > 1
             else None
         )
-        self.process_workers = process_workers
-        if process_workers:
-            # Imported here: repro.parallel.serving's workers construct
-            # a PredictionServer of their own, so a top-level import
-            # would be circular.
-            from repro.parallel.serving import ProcessPredictorPool
-
-            self._process_pool = ProcessPredictorPool(
-                artifact,
-                schema,
-                workers=process_workers,
-                cache_capacity=cache_capacity,
-                registry=self.metrics,
-                engine=engine,
-            )
-        else:
-            self._process_pool = None
         self.default_deadline_s = default_deadline_s
         self.batcher = MicroBatcher(
             self._predict_encoded,
@@ -395,8 +360,6 @@ class PredictionServer:
         self.batcher.close()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._process_pool is not None:
-            self._process_pool.close()
 
     def __enter__(self) -> "PredictionServer":
         return self
@@ -452,14 +415,7 @@ class PredictionServer:
         concurrently; per-row results are independent of chunk
         boundaries, so the output is identical either way, in
         submission order.
-
-        With ``process_workers`` the chunks run on the process-sharded
-        predictor pool instead (assembly and prediction both leave this
-        process); the workers' latency/cache telemetry folds back into
-        this server's registry on the next :meth:`stats` call.
         """
-        if self._process_pool is not None:
-            return self._process_pool.predict(payloads)
         n_chunks = 1 if self._pool is None else min(self.workers, len(payloads))
         if n_chunks <= 1:
             return self._predict_merged(self._merge(payloads))
@@ -484,13 +440,8 @@ class PredictionServer:
 
         One point-in-time read of the server's shared registry; the
         ``latency_ms`` breakdown reports each serving stage's mean and
-        p50/p95/p99 in milliseconds.  With a process-sharded pool the
-        workers' telemetry deltas (latency histograms, row counters,
-        cache accounting) are drained and merged in first, so the
-        snapshot covers the whole pool.
+        p50/p95/p99 in milliseconds.
         """
-        if self._process_pool is not None:
-            self._process_pool.merge_stats(self.metrics)
         cache = self.features.cache.stats
         batcher = self.batcher.stats
         latency_ms = {}
@@ -525,7 +476,7 @@ class PredictionServer:
             shed_requests=batcher.shed_requests,
             deadline_expired=batcher.deadline_expired,
             rows_quarantined=batcher.rows_quarantined,
-            workers=self.process_workers or self.workers,
+            workers=self.workers,
             queue_wait_seconds=self.metrics.histogram(
                 "serving.latency.queue_wait_s"
             ).sum,

@@ -81,14 +81,23 @@ class TestDiscoveryAndParsing:
     def test_syntax_error_is_a_finding_and_scan_continues(self, tmp_path):
         (tmp_path / "broken.py").write_text("def broken(:\n")
         (tmp_path / "dirty.py").write_text("import time\nt = time.time()\n")
+        (tmp_path / "noisy.py").write_text("print('oops')\n")
         report = run_analysis([tmp_path], ALL_RULES)
         rules = {finding.rule for finding in report.findings}
-        assert rules == {"parse-error", "wall-clock"}
+        assert rules == {"parse-error", "wall-clock", "bare-print"}
+        assert len(report.findings) == 3
 
     def test_non_utf8_is_a_finding(self, tmp_path):
         (tmp_path / "latin.py").write_bytes(b"# \xff\xfe\nx = 1\n")
         report = run_analysis([tmp_path], ALL_RULES)
         assert [finding.rule for finding in report.findings] == ["parse-error"]
+        # An unreadable file does not stop the scan either.
+        (tmp_path / "noisy.py").write_text("print('oops')\n")
+        report = run_analysis([tmp_path], ALL_RULES)
+        assert [finding.rule for finding in report.findings] == [
+            "parse-error",
+            "bare-print",
+        ]
 
 
 class TestAllowlists:

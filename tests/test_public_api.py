@@ -7,8 +7,12 @@ the modules behind them.
 
 import importlib
 import inspect
+import warnings
+from pathlib import Path
 
 import pytest
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 PACKAGES = [
     "repro",
@@ -55,6 +59,18 @@ class TestVersion:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
+
+    def test_package_metadata_matches_dunder_version(self):
+        """The version setuptools builds from ``pyproject.toml`` is
+        ``repro.__version__`` — one source, no drift."""
+        import repro
+        from setuptools.config.pyprojecttoml import read_configuration
+
+        with warnings.catch_warnings():
+            # ``[tool.setuptools]`` tables warn that they are "beta".
+            warnings.simplefilter("ignore")
+            config = read_configuration(PYPROJECT)
+        assert config["project"]["version"] == repro.__version__
 
 
 class TestModelRegistryCompleteness:
