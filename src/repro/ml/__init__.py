@@ -33,7 +33,6 @@ materialised unless a model is given ``engine="dense"``.
 
 from repro.ml.base import Estimator, check_fitted
 from repro.ml.encoding import CategoricalMatrix, one_hot
-from repro.ml.sparse import OneHotMatrix
 from repro.ml.linear import L1LogisticRegression
 from repro.ml.metrics import accuracy, confusion_counts, zero_one_error
 from repro.ml.naive_bayes import CategoricalNB
@@ -56,7 +55,6 @@ __all__ = [
     "KernelSVC",
     "L1LogisticRegression",
     "MLPClassifier",
-    "OneHotMatrix",
     "accuracy",
     "binarize_ordinal",
     "check_fitted",

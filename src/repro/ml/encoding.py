@@ -8,13 +8,14 @@ the paper prescribes for such models, through one of two execution
 paths:
 
 - **Implicit (default for all numeric models)** —
-  :meth:`CategoricalMatrix.onehot_view` wraps the codes in a
-  :class:`repro.ml.sparse.OneHotMatrix`, which answers every product,
-  gradient, Gram block and distance the models need with per-feature
-  gathers and scatter-adds over the codes.  The dense ``(n, Σ levels)``
-  matrix is never allocated, so cost scales with ``n × d`` instead of
-  ``n × Σ levels`` — the difference between feasible and infeasible for
-  foreign keys with domains in the thousands to millions.
+  :meth:`CategoricalMatrix.onehot_view` wraps the codes in the
+  zero-group form of :class:`repro.ml.sparse.FactorizedMatrix`, which
+  answers every product, gradient, Gram block and distance the models
+  need with per-feature gathers and scatter-adds over the codes.  The
+  dense ``(n, Σ levels)`` matrix is never allocated, so cost scales
+  with ``n × d`` instead of ``n × Σ levels`` — the difference between
+  feasible and infeasible for foreign keys with domains in the
+  thousands to millions.
 - **Dense (fallback)** — :meth:`CategoricalMatrix.onehot` materialises
   the full float64 one-hot matrix.  Kept as the reference
   implementation: models accept ``engine="dense"``, tests assert the
@@ -198,23 +199,24 @@ class CategoricalMatrix:
         """
         if self._onehot_cache is not None:
             return self._onehot_cache
-        # The column layout is owned by OneHotMatrix; materialising is
-        # just its scatter, so the two paths cannot drift apart.
+        # The column layout is owned by FactorizedMatrix; materialising
+        # is just its scatter, so the two paths cannot drift apart.
         out = self.onehot_view().toarray()
         if materialize:
             self._onehot_cache = out
         return out
 
-    def onehot_view(self) -> "repro.ml.sparse.OneHotMatrix":  # noqa: F821
+    def onehot_view(self) -> "repro.ml.sparse.FactorizedMatrix":  # noqa: F821
         """An implicit one-hot view that never allocates the dense matrix.
 
-        The view answers matrix products, gradient scatters, Gram blocks
-        and squared distances via gathers over the codes; see
-        :mod:`repro.ml.sparse`.
+        The zero-group :class:`~repro.ml.sparse.FactorizedMatrix` over
+        these codes (shared, not copied): it answers matrix products,
+        gradient scatters, Gram blocks and squared distances via
+        gathers over the codes.
         """
-        from repro.ml.sparse import OneHotMatrix
+        from repro.ml.sparse import FactorizedMatrix
 
-        return OneHotMatrix(self)
+        return FactorizedMatrix.from_categorical(self)
 
     # ------------------------------------------------------------------
     # Slicing

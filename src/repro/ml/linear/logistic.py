@@ -53,8 +53,8 @@ def _lipschitz_bound(X, seed: int = 0, iterations: int = 30) -> float:
     """Upper bound on the logistic-loss gradient Lipschitz constant.
 
     ``X`` may be a dense array or an implicit
-    :class:`~repro.ml.sparse.OneHotMatrix`; power iteration only needs
-    the two matrix-vector products, which both engines provide.
+    :class:`~repro.ml.sparse.FactorizedMatrix`; power iteration only
+    needs the two matrix-vector products, which both provide.
     """
     n = X.shape[0]
     rng = ensure_rng(seed)

@@ -3,7 +3,7 @@
 The paper's "braindead" 1-NN baseline (Section 3/5).  For one-hot encoded
 categorical vectors, the squared Euclidean distance between two examples
 is exactly ``2 × (number of mismatching features)``, so neighbours come
-from :meth:`repro.ml.sparse.OneHotMatrix.squared_distances` — the
+from :meth:`repro.ml.sparse.FactorizedMatrix.squared_distances` — the
 code-equality kernel shared with the SVM Gram computation —
 mathematically identical to one-hot Euclidean 1-NN but linear rather
 than quadratic in total domain size.  Section 5's analysis of why FK
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml import sparse
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
-from repro.ml.sparse import OneHotMatrix
 
 
 class KNeighborsClassifier(Estimator):
@@ -57,8 +57,9 @@ class KNeighborsClassifier(Estimator):
             raise ValueError(
                 f"expected {self.X_.n_features} features, got {X.n_features}"
             )
-        train = OneHotMatrix(self.X_)
-        test = OneHotMatrix(X)
+        # Gather factorized inputs once here, not once per chunk.
+        train = sparse.encode_features(self.X_, "implicit")
+        test = sparse.encode_features(X, "implicit")
         out = np.empty(X.n_rows, dtype=np.int64)
         k = self.n_neighbors
         for start in range(0, X.n_rows, self.chunk_size):

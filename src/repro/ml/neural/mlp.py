@@ -206,7 +206,7 @@ class MLPClassifier(Estimator):
         self.loss_curve_.append(epoch_loss / n)
 
     def _forward(self, inputs) -> tuple[list, np.ndarray]:
-        # inputs is a dense array or an implicit OneHotMatrix view; only
+        # inputs is a dense array or an implicit FactorizedMatrix; only
         # the first layer's product dispatches, hidden layers are dense.
         activations = [inputs]
         for i, (W, b) in enumerate(zip(self.weights_, self.biases_)):

@@ -1,52 +1,52 @@
-"""Sparse categorical execution engines: implicit one-hot and factorized.
+"""The categorical execution operand: one-hot algebra over integer codes.
 
 A one-hot encoded categorical matrix has exactly one nonzero per feature
 per row, so every product the numeric models compute against it is a
 gather or a scatter over the integer codes — multiplying the explicit
-zeros is pure waste.  :class:`OneHotMatrix` is a read-only *view* over a
-:class:`~repro.ml.encoding.CategoricalMatrix` that implements the four
-kernels the models actually need, without ever allocating the dense
+zeros is pure waste.  :class:`FactorizedMatrix` implements the kernels
+the models actually need without ever allocating the dense
 ``(n, sum(n_levels))`` array:
 
-- :meth:`OneHotMatrix.matmul` — ``X @ W`` as per-feature row-gathers of
-  ``W`` summed across features (forward passes, decision functions);
-- :meth:`OneHotMatrix.rmatmul` — ``X.T @ V`` as scatter-adds
-  (``np.add.at`` / weighted ``bincount``) into the one-hot columns
-  (gradients, ``lambda_max`` screening);
-- :meth:`OneHotMatrix.match_counts` / :meth:`OneHotMatrix.squared_distances`
-  — Gram blocks and squared Euclidean distances via code-equality
-  counts: for one-hot blocks ``x·z`` equals the number of matching
-  features and ``||x - z||^2 = 2 (d - matches)`` (k-NN, SVM kernels);
-- :meth:`OneHotMatrix.column_means` / :meth:`OneHotMatrix.column_scales`
-  — per-one-hot-column statistics from a single ``bincount`` over the
-  codes, exposed for downstream scalers and diagnostics (nothing in
-  :mod:`repro.ml.preprocessing` consumes them yet).
+- :meth:`FactorizedMatrix.matmul` — ``X @ W`` as per-feature row-gathers
+  of ``W`` summed across features (forward passes, decision functions);
+- :meth:`FactorizedMatrix.rmatmul` — ``X.T @ V`` as weighted
+  ``bincount`` scatters into the one-hot columns (gradients,
+  ``lambda_max`` screening);
+- :meth:`FactorizedMatrix.match_counts` /
+  :meth:`FactorizedMatrix.squared_distances` — Gram blocks and squared
+  Euclidean distances via code-equality counts: for one-hot blocks
+  ``x·z`` equals the number of matching features and
+  ``||x - z||^2 = 2 (d - matches)`` (k-NN, SVM kernels).
 
 Cost is ``O(n·d)`` per pass instead of ``O(n · sum(n_levels))`` — for
 the paper's foreign keys with domains in the thousands to millions this
 is the difference between training being dominated by multiplying zeros
 and running at code-array speed.
 
-:class:`FactorizedMatrix` goes one step further and factorizes the KFK
-*join* itself out of the hot path.  The implicit engine still stores a
-gathered ``(n, d)`` code table, so every kernel pass re-touches each
-fact row's copy of its dimension row — ``O(n·d)`` work even though a
-joined dimension has only ``|D|`` distinct rows.  The factorized layout
-keeps the fact-local code columns as ``(n, d_fact)`` plus, per joined
-dimension, one ``(n,)`` FK-resolved row vector and one ``(|D|, d_R)``
-code block; kernels run the per-dimension work once over the block
-(``O(|D|·d_R)``) and touch the fact rows only through a single gather
-or ``bincount`` by FK code (``O(n)`` per dimension).  Total per pass:
-``O(n + |D|·d_R)`` instead of ``O(n·d)`` — the win grows with the
-``n/|D|`` fan-out, exactly the regime where the paper's join-avoidance
-question bites.
+The operand has two layouts.  The *zero-group* form
+(:meth:`FactorizedMatrix.from_categorical`, which is what
+:meth:`~repro.ml.encoding.CategoricalMatrix.onehot_view` returns) views
+a gathered ``(n, d)`` code table as fact columns, sharing the codes.
+The *grouped* form factorizes the KFK join itself out of the hot path:
+a gathered table re-touches each fact row's copy of its dimension row —
+``O(n·d)`` work even though a joined dimension has only ``|D|``
+distinct rows — so it keeps the fact-local code columns as
+``(n, d_fact)`` plus, per joined dimension, one ``(n,)`` FK-resolved
+row vector and one ``(|D|, d_R)`` code block.  Kernels run the
+per-dimension work once over the block (``O(|D|·d_R)``) and touch the
+fact rows only through a single gather or ``bincount`` by FK code
+(``O(n)`` per dimension).  Total per pass: ``O(n + |D|·d_R)`` instead
+of ``O(n·d)`` — the win grows with the ``n/|D|`` fan-out, exactly the
+regime where the paper's join-avoidance question bites.
 
-Every numeric model accepts ``engine="implicit"`` (the default),
-``engine="dense"``, or ``engine="factorized"``; the module-level
-:func:`matmul` / :func:`rmatmul` / :func:`take_rows` helpers dispatch on
-the operand type so model code is written once for all paths, and tests
-assert the paths agree to 1e-10 (bit-identical where summation order
-is unchanged).
+Every numeric model accepts ``engine="implicit"`` (the default: gather
+a grouped input, then run the zero-group form), ``engine="factorized"``
+(keep the grouped layout) or ``engine="dense"`` (the materialised
+reference the tests compare against); the module-level :func:`matmul` /
+:func:`rmatmul` / :func:`take_rows` helpers dispatch on the operand
+type so model code is written once for all paths, and tests assert the
+paths agree to 1e-10 (bit-identical where summation order is
+unchanged).
 """
 
 from __future__ import annotations
@@ -64,242 +64,6 @@ def check_engine(engine: str) -> str:
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     return engine
-
-
-class OneHotMatrix:
-    """An implicit view of ``CategoricalMatrix.onehot()``.
-
-    Holds only the ``(n, d)`` integer codes and the per-feature column
-    offsets of the one-hot layout (block ``j`` starts at
-    ``offsets[j]`` and has width ``n_levels[j]``), exactly matching the
-    column order of the dense encoding.
-
-    Parameters
-    ----------
-    source:
-        The categorical matrix to view.  The codes are shared, not
-        copied; the view is read-only.
-    """
-
-    __slots__ = ("codes", "n_levels", "offsets", "_flat")
-
-    def __init__(self, source: CategoricalMatrix):
-        self.codes = source.codes
-        self.n_levels = tuple(int(k) for k in source.n_levels)
-        self.offsets = np.concatenate(
-            ([0], np.cumsum(self.n_levels))
-        ).astype(np.int64)
-        self._flat: np.ndarray | None = None
-
-    def _replace_codes(self, codes: np.ndarray) -> "OneHotMatrix":
-        view = object.__new__(OneHotMatrix)
-        view.codes = codes
-        view.n_levels = self.n_levels
-        view.offsets = self.offsets
-        view._flat = None
-        return view
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def n_rows(self) -> int:
-        """Number of examples."""
-        return self.codes.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        """Number of categorical features (one-hot blocks)."""
-        return self.codes.shape[1]
-
-    @property
-    def width(self) -> int:
-        """Width of the implied one-hot encoding, ``sum(n_levels)``."""
-        return int(self.offsets[-1])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the implied dense matrix, ``(n, width)``."""
-        return (self.n_rows, self.width)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the view: codes, offsets, flat-code cache.
-
-        Part of the ``shard_working_set_bytes`` the streaming scale
-        benchmark records; compare against ``n_rows * width * 8`` for
-        the dense encoding this view stands in for (the benchmark's
-        ``shard_dense_equivalent_bytes``).
-        """
-        flat = self._flat.nbytes if self._flat is not None else 0
-        return int(self.codes.nbytes + self.offsets.nbytes + flat)
-
-    def _flat_codes(self) -> np.ndarray:
-        """Codes shifted into one-hot column positions, cached."""
-        if self._flat is None:
-            self._flat = self.codes + self.offsets[:-1][np.newaxis, :]
-        return self._flat
-
-    def take_rows(self, rows: np.ndarray | slice) -> "OneHotMatrix":
-        """A view over a subset of examples (index array, mask or slice)."""
-        if not isinstance(rows, slice):
-            rows = np.asarray(rows)
-            if rows.dtype == bool:
-                rows = np.flatnonzero(rows)
-        return self._replace_codes(self.codes[rows])
-
-    # ------------------------------------------------------------------
-    # Kernels
-    # ------------------------------------------------------------------
-    def matmul(self, W: np.ndarray) -> np.ndarray:
-        """``X @ W`` for ``W`` of shape ``(width,)`` or ``(width, k)``.
-
-        Each output row sums one gathered entry (or row) of ``W`` per
-        feature: ``out[i] = sum_j W[offsets[j] + codes[i, j]]``.
-        """
-        W = np.asarray(W, dtype=np.float64)
-        if W.shape[0] != self.width:
-            raise ValueError(
-                f"operand has {W.shape[0]} rows, expected width {self.width}"
-            )
-        if self.n_features == 0:
-            return np.zeros((self.n_rows,) + W.shape[1:], dtype=np.float64)
-        flat = self._flat_codes()
-        if W.ndim == 1:
-            return W[flat].sum(axis=1)
-        out = np.zeros((self.n_rows,) + W.shape[1:], dtype=np.float64)
-        for j in range(self.n_features):
-            out += W[flat[:, j]]
-        return out
-
-    def rmatmul(self, V: np.ndarray) -> np.ndarray:
-        """``X.T @ V`` for ``V`` of shape ``(n,)`` or ``(n, k)``.
-
-        Scatter-adds each example's value(s) into the one-hot columns
-        its codes select — a weighted ``bincount`` per operand column
-        (``np.add.at`` is an order of magnitude slower on this shape).
-        """
-        V = np.asarray(V, dtype=np.float64)
-        if V.shape[0] != self.n_rows:
-            raise ValueError(
-                f"operand has {V.shape[0]} rows, expected {self.n_rows}"
-            )
-        if self.n_features == 0:
-            return np.zeros((0,) + V.shape[1:], dtype=np.float64)
-        flat = self._flat_codes()
-        if V.ndim == 1:
-            weights = V if self.n_features == 1 else np.repeat(V, self.n_features)
-            return np.bincount(
-                flat.ravel(), weights=weights, minlength=self.width
-            )
-        # One-hot blocks are disjoint per feature, so every output slot
-        # accumulates its contributions in row order under both the
-        # flat bincount and the old per-feature scatter — the results
-        # are bit-identical, the bincount is just much faster.  The
-        # trailing dimension is explicit: reshape(n, -1) cannot infer
-        # -1 for a 0-row operand (empty shards are legal).
-        flat_all = flat.ravel()
-        V2 = V.reshape(V.shape[0], int(np.prod(V.shape[1:])))
-        out = np.empty((self.width, V2.shape[1]), dtype=np.float64)
-        for column in range(V2.shape[1]):
-            weights = (
-                V2[:, column]
-                if self.n_features == 1
-                else np.repeat(V2[:, column], self.n_features)
-            )
-            out[:, column] = np.bincount(
-                flat_all, weights=weights, minlength=self.width
-            )
-        return out.reshape((self.width,) + V.shape[1:])
-
-    def match_counts(
-        self, other: "OneHotMatrix", chunk_size: int = 512
-    ) -> np.ndarray:
-        """Pairwise counts of matching features — the linear-kernel Gram.
-
-        For one-hot blocks ``x_i · z_j`` is exactly the number of
-        features on which the code vectors agree, so this *is*
-        ``self.onehot() @ other.onehot().T`` without the encoding.
-        Computed in row chunks of ``self`` to bound the boolean
-        temporary at ``chunk_size × m × d``.
-        """
-        if not isinstance(other, OneHotMatrix):
-            raise TypeError(
-                f"match_counts needs another OneHotMatrix, got "
-                f"{type(other).__name__}"
-            )
-        if self.n_levels != other.n_levels:
-            raise ValueError(
-                "match_counts requires identical feature domains; got "
-                f"{self.n_levels} vs {other.n_levels}"
-            )
-        n, m = self.n_rows, other.n_rows
-        out = np.zeros((n, m), dtype=np.float64)
-        if self.n_features == 0:
-            return out
-        A, B = self.codes, other.codes
-        for start in range(0, n, chunk_size):
-            stop = min(start + chunk_size, n)
-            out[start:stop] = (
-                A[start:stop, np.newaxis, :] == B[np.newaxis, :, :]
-            ).sum(axis=2)
-        return out
-
-    def squared_distances(
-        self, other: "OneHotMatrix", chunk_size: int = 512
-    ) -> np.ndarray:
-        """Pairwise squared Euclidean distances in one-hot space.
-
-        Each mismatching feature contributes exactly 2 (a 1 where the
-        other has 0, twice), so ``||x - z||^2 = 2 (d - matches)`` —
-        the identity behind the paper's Section 5 distance analysis.
-        """
-        return 2.0 * (
-            self.n_features - self.match_counts(other, chunk_size=chunk_size)
-        )
-
-    # ------------------------------------------------------------------
-    # Column statistics (preprocessing)
-    # ------------------------------------------------------------------
-    def column_counts(self) -> np.ndarray:
-        """Occurrences of each one-hot column, from one ``bincount``."""
-        if self.n_features == 0:
-            return np.zeros(0, dtype=np.float64)
-        return np.bincount(
-            self._flat_codes().ravel(), minlength=self.width
-        ).astype(np.float64)
-
-    def column_means(self) -> np.ndarray:
-        """Mean of each one-hot column (level occurrence rates)."""
-        if self.n_rows == 0:
-            return np.zeros(self.width, dtype=np.float64)
-        return self.column_counts() / self.n_rows
-
-    def column_scales(self) -> np.ndarray:
-        """Standard deviation of each (Bernoulli) one-hot column."""
-        p = self.column_means()
-        return np.sqrt(p * (1.0 - p))
-
-    # ------------------------------------------------------------------
-    # Dense escape hatch
-    # ------------------------------------------------------------------
-    def toarray(self) -> np.ndarray:
-        """Materialise the dense one-hot equivalent.
-
-        The single owner of the dense construction:
-        ``CategoricalMatrix.onehot()`` delegates here.
-        """
-        out = np.zeros(self.shape, dtype=np.float64)
-        if self.n_features:
-            rows = np.repeat(np.arange(self.n_rows), self.n_features)
-            out[rows, self._flat_codes().ravel()] = 1.0
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"OneHotMatrix(n={self.n_rows}, d={self.n_features}, "
-            f"width={self.width})"
-        )
 
 
 class FactorizedGroup:
@@ -367,16 +131,15 @@ class FactorizedGroup:
 
 
 class FactorizedMatrix:
-    """A KFK-factorized encoded shard: fact codes + per-dimension blocks.
+    """An implicit one-hot matrix: fact codes + per-dimension blocks.
 
-    Where :class:`OneHotMatrix` views one gathered ``(n, d)`` code
-    table, this keeps the join factorized: the fact-local feature
-    columns as ``(n, d_fact)`` codes, and per joined dimension a
-    :class:`FactorizedGroup` holding the ``(n,)`` resolved dimension
-    rows plus the dimension's ``(|D|, d_R)`` code block.  The column
-    layout (``names`` / ``n_levels`` / ``offsets``) is identical to the
-    gathered matrix's one-hot layout, so every kernel here computes the
-    same value the implicit engine would — it just never expands the
+    The fact-local feature columns are held as ``(n, d_fact)`` codes,
+    and each joined dimension as a :class:`FactorizedGroup` holding the
+    ``(n,)`` resolved dimension rows plus the dimension's ``(|D|, d_R)``
+    code block.  The column layout (``names`` / ``n_levels`` /
+    ``offsets``; block ``j`` starts at ``offsets[j]`` and has width
+    ``n_levels[j]``) is exactly the column order of the dense
+    ``CategoricalMatrix.onehot()`` encoding, and no kernel expands the
     dimension side per fact row:
 
     - :meth:`matmul` runs ``O(|D|·d_R)`` per dimension over the block,
@@ -384,16 +147,14 @@ class FactorizedMatrix:
     - :meth:`rmatmul` reduces the operand to per-dimension-row totals
       with one ``O(n)`` ``bincount``, then scatters the ``(|D|,)``
       totals through the block;
-    - :meth:`column_counts` multiplies per-dimension-row group *sizes*
-      into the block's level counts (integer-exact);
-    - :meth:`gather` / :meth:`toarray` are the escape hatches back to
-      the gathered representations for kernels that genuinely need
-      per-row codes (Gram blocks, distances).
+    - :meth:`match_counts` / :meth:`squared_distances` compare per-row
+      codes, so only they (and :meth:`gather`) pay the per-dimension
+      gather, and only for grouped operands.
 
-    Float results match the implicit engine to 1e-10 (summation
-    grouping differs); integer-valued results are bit-identical.  A
-    matrix with no groups (see :meth:`from_categorical`) degenerates to
-    the implicit engine's exact arithmetic, bit for bit.
+    With no groups (see :meth:`from_categorical`) every kernel is the
+    plain gather/scatter arithmetic over the shared code table.  With
+    groups, float results match that arithmetic to 1e-10 (summation
+    grouping differs) and integer-valued results are bit-identical.
     """
 
     __slots__ = (
@@ -455,21 +216,26 @@ class FactorizedMatrix:
 
     @classmethod
     def from_categorical(cls, source: CategoricalMatrix) -> "FactorizedMatrix":
-        """The degenerate all-fact factorization of a gathered matrix.
+        """The zero-group form: a view over a gathered matrix's codes.
 
-        With no groups every kernel runs the implicit engine's exact
-        arithmetic, so ``engine="factorized"`` on an already-gathered
-        matrix is bit-identical to ``engine="implicit"`` — in-memory
-        callers pay nothing for asking for the factorized engine.
+        The ``(n, d)`` int64 code table is shared, not copied, and
+        every kernel runs the plain per-feature gather/scatter over it —
+        so ``engine="factorized"`` on an already-gathered matrix is
+        bit-identical to ``engine="implicit"``.  A ``CategoricalMatrix``
+        already satisfies the constructor's checks, so they are skipped
+        (streamed fits build this once per shard per pass).
         """
-        codes = np.ascontiguousarray(source.codes, dtype=np.int64)
-        return cls(
-            tuple(source.names),
-            tuple(source.n_levels),
-            np.arange(codes.shape[1], dtype=np.int64),
-            codes,
-            (),
-        )
+        view = object.__new__(cls)
+        view.names = source.names
+        view.n_levels = source.n_levels
+        view.offsets = np.concatenate(
+            ([0], np.cumsum(source.n_levels))
+        ).astype(np.int64)
+        view.fact_positions = np.arange(source.n_features, dtype=np.int64)
+        view.fact_codes = source.codes
+        view.groups = ()
+        view._fact_flat = None
+        return view
 
     # ------------------------------------------------------------------
     # Introspection
@@ -504,9 +270,11 @@ class FactorizedMatrix:
     def nbytes(self) -> int:
         """Resident bytes: fact codes, offsets, groups, flat-code cache.
 
-        The number to compare against the implicit engine's
-        ``n·d·8``-byte gathered code table — the factorized layout is
-        smaller by roughly the dimension fan-out.
+        Part of the ``shard_working_set_bytes`` the streaming scale
+        benchmark records.  A grouped operand is smaller than the
+        ``n·d·8``-byte gathered code table by roughly the dimension
+        fan-out; compare either against ``n_rows * width * 8`` for the
+        dense encoding.
         """
         flat = self._fact_flat.nbytes if self._fact_flat is not None else 0
         return int(
@@ -516,6 +284,25 @@ class FactorizedMatrix:
             + sum(g.nbytes for g in self.groups)
             + flat
         )
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The gathered ``(n, d)`` code table, in feature order.
+
+        The zero-group form returns its shared fact codes; a grouped
+        operand pays the ``O(n·d_R)`` per-dimension gather the
+        factorized kernels exist to avoid.
+        """
+        if not self.groups and np.array_equal(
+            self.fact_positions, np.arange(self.n_features)
+        ):
+            return self.fact_codes
+        codes = np.empty((self.n_rows, self.n_features), dtype=np.int64)
+        if len(self.fact_positions):
+            codes[:, self.fact_positions] = self.fact_codes
+        for group in self.groups:
+            codes[:, group.positions] = group.block[group.dim_rows]
+        return codes
 
     def _fact_flat_codes(self) -> np.ndarray:
         """Fact codes shifted into one-hot column positions, cached."""
@@ -527,8 +314,9 @@ class FactorizedMatrix:
         return self._fact_flat
 
     def take_rows(self, rows: np.ndarray | slice) -> "FactorizedMatrix":
-        """A subset of examples: fact codes and per-group dimension rows
-        are sliced, the dimension blocks are shared."""
+        """A subset of examples (index array, mask or slice): fact codes
+        and per-group dimension rows are sliced, the dimension blocks
+        are shared."""
         if not isinstance(rows, slice):
             rows = np.asarray(rows)
             if rows.dtype == bool:
@@ -547,9 +335,10 @@ class FactorizedMatrix:
     # Kernels
     # ------------------------------------------------------------------
     def matmul(self, W: np.ndarray) -> np.ndarray:
-        """``X @ W`` with per-dimension work on the block, not the rows.
+        """``X @ W`` for ``W`` of shape ``(width,)`` or ``(width, k)``.
 
-        The fact part is the implicit engine's gather-sum; each
+        The fact part sums one gathered entry (or row) of ``W`` per
+        feature, ``out[i] = sum_j W[offsets[j] + codes[i, j]]``; each
         dimension contributes ``block @ w`` evaluated once over its
         ``|D|`` rows and broadcast to the fact rows by one gather.
         """
@@ -558,12 +347,12 @@ class FactorizedMatrix:
             raise ValueError(
                 f"operand has {W.shape[0]} rows, expected width {self.width}"
             )
-        out = np.zeros((self.n_rows,) + W.shape[1:], dtype=np.float64)
-        if len(self.fact_positions):
-            flat = self._fact_flat_codes()
-            if W.ndim == 1:
-                out += W[flat].sum(axis=1)
-            else:
+        if len(self.fact_positions) and W.ndim == 1:
+            out = W[self._fact_flat_codes()].sum(axis=1)
+        else:
+            out = np.zeros((self.n_rows,) + W.shape[1:], dtype=np.float64)
+            if len(self.fact_positions):
+                flat = self._fact_flat_codes()
                 for j in range(flat.shape[1]):
                     out += W[flat[:, j]]
         for group in self.groups:
@@ -576,12 +365,15 @@ class FactorizedMatrix:
         return out
 
     def rmatmul(self, V: np.ndarray) -> np.ndarray:
-        """``X.T @ V`` via one ``bincount`` by dimension row per group.
+        """``X.T @ V`` for ``V`` of shape ``(n,)`` or ``(n, k)``.
 
-        The operand collapses to per-dimension-row totals first
-        (``O(n)``), then those ``(|D|,)`` totals scatter through the
-        block (``O(|D|·d_R)``) — the gradient never re-touches each
-        fact row's copy of its dimension features.
+        Fact columns scatter-add each example's value(s) with one
+        weighted ``bincount`` per operand column (``np.add.at`` is an
+        order of magnitude slower on this shape).  Each dimension
+        collapses the operand to per-dimension-row totals first
+        (``O(n)``), then scatters those ``(|D|,)`` totals through the
+        block (``O(|D|·d_R)``) — the gradient never re-touches each fact
+        row's copy of its dimension features.
         """
         V = np.asarray(V, dtype=np.float64)
         if V.shape[0] != self.n_rows:
@@ -594,24 +386,27 @@ class FactorizedMatrix:
         # -1 for a 0-row operand (empty shards are legal).
         k = 1 if V.ndim == 1 else int(np.prod(V.shape[1:]))
         V2 = V.reshape(V.shape[0], k)
-        out = np.zeros((self.width, V2.shape[1]), dtype=np.float64)
         d_fact = len(self.fact_positions)
         if d_fact:
+            # One-hot blocks are disjoint per feature, so every output
+            # slot accumulates its contributions in row order — the
+            # same sums an ``np.add.at`` scatter produces, bit for bit.
             flat_all = self._fact_flat_codes().ravel()
-            for column in range(V2.shape[1]):
+            out = np.empty((self.width, k), dtype=np.float64)
+            for column in range(k):
                 weights = (
                     V2[:, column]
                     if d_fact == 1
                     else np.repeat(V2[:, column], d_fact)
                 )
-                out[:, column] += np.bincount(
+                out[:, column] = np.bincount(
                     flat_all, weights=weights, minlength=self.width
                 )
+        else:
+            out = np.zeros((self.width, k), dtype=np.float64)
         for group in self.groups:
-            totals = np.empty(
-                (group.n_dim_rows, V2.shape[1]), dtype=np.float64
-            )
-            for column in range(V2.shape[1]):
+            totals = np.empty((group.n_dim_rows, k), dtype=np.float64)
+            for column in range(k):
                 totals[:, column] = np.bincount(
                     group.dim_rows,
                     weights=V2[:, column],
@@ -620,7 +415,7 @@ class FactorizedMatrix:
             for c, position in enumerate(group.positions):
                 offset = int(self.offsets[position])
                 n_levels = self.n_levels[position]
-                for column in range(V2.shape[1]):
+                for column in range(k):
                     out[offset : offset + n_levels, column] += np.bincount(
                         group.block[:, c],
                         weights=totals[:, column],
@@ -628,88 +423,77 @@ class FactorizedMatrix:
                     )
         return out.reshape((self.width,) + V.shape[1:])
 
-    def match_counts(self, other, chunk_size: int = 512) -> np.ndarray:
-        """Pairwise matching-feature counts, via the gathered view.
+    def match_counts(
+        self, other: "FactorizedMatrix", chunk_size: int = 512
+    ) -> np.ndarray:
+        """Pairwise counts of matching features — the linear-kernel Gram.
 
-        Gram blocks need per-row code comparisons, so this is one of
-        the two kernels that genuinely gathers (the other is
-        :meth:`squared_distances`); SVM/k-NN callers wanting the
-        factorized win should stay on matmul/rmatmul-shaped paths.
+        For one-hot blocks ``x_i · z_j`` is exactly the number of
+        features on which the code vectors agree, so this *is*
+        ``self.toarray() @ other.toarray().T`` without the encoding.
+        Zero-group operands compare their shared codes directly; a
+        grouped one is gathered first.  Computed in row chunks of
+        ``self`` to bound the boolean temporary at ``chunk_size × m × d``.
         """
-        if isinstance(other, FactorizedMatrix):
-            other = other.gather().onehot_view()
-        return self.gather().onehot_view().match_counts(
-            other, chunk_size=chunk_size
-        )
+        if not isinstance(other, FactorizedMatrix):
+            raise TypeError(
+                f"match_counts needs another FactorizedMatrix, got "
+                f"{type(other).__name__}"
+            )
+        if self.n_levels != other.n_levels:
+            raise ValueError(
+                "match_counts requires identical feature domains; got "
+                f"{self.n_levels} vs {other.n_levels}"
+            )
+        n, m = self.n_rows, other.n_rows
+        out = np.zeros((n, m), dtype=np.float64)
+        if self.n_features == 0:
+            return out
+        A, B = self.codes, other.codes
+        for start in range(0, n, chunk_size):
+            stop = min(start + chunk_size, n)
+            out[start:stop] = (
+                A[start:stop, np.newaxis, :] == B[np.newaxis, :, :]
+            ).sum(axis=2)
+        return out
 
-    def squared_distances(self, other, chunk_size: int = 512) -> np.ndarray:
-        """Pairwise squared Euclidean distances in one-hot space."""
+    def squared_distances(
+        self, other: "FactorizedMatrix", chunk_size: int = 512
+    ) -> np.ndarray:
+        """Pairwise squared Euclidean distances in one-hot space.
+
+        Each mismatching feature contributes exactly 2 (a 1 where the
+        other has 0, twice), so ``||x - z||^2 = 2 (d - matches)`` —
+        the identity behind the paper's Section 5 distance analysis.
+        """
         return 2.0 * (
             self.n_features - self.match_counts(other, chunk_size=chunk_size)
         )
 
     # ------------------------------------------------------------------
-    # Column statistics (preprocessing)
-    # ------------------------------------------------------------------
-    def column_counts(self) -> np.ndarray:
-        """Occurrences of each one-hot column from per-group sizes.
-
-        Each dimension needs only its FK group sizes (one ``bincount``
-        over the resolved rows) scattered through the block — integer
-        arithmetic, bit-identical to the implicit engine's full scan.
-        """
-        out = np.zeros(self.width, dtype=np.float64)
-        if self.n_features == 0:
-            return np.zeros(0, dtype=np.float64)
-        if len(self.fact_positions):
-            out += np.bincount(
-                self._fact_flat_codes().ravel(), minlength=self.width
-            )
-        for group in self.groups:
-            sizes = np.bincount(
-                group.dim_rows, minlength=group.n_dim_rows
-            ).astype(np.float64)
-            for c, position in enumerate(group.positions):
-                offset = int(self.offsets[position])
-                n_levels = self.n_levels[position]
-                out[offset : offset + n_levels] += np.bincount(
-                    group.block[:, c], weights=sizes, minlength=n_levels
-                )
-        return out
-
-    def column_means(self) -> np.ndarray:
-        """Mean of each one-hot column (level occurrence rates)."""
-        if self.n_rows == 0:
-            return np.zeros(self.width, dtype=np.float64)
-        return self.column_counts() / self.n_rows
-
-    def column_scales(self) -> np.ndarray:
-        """Standard deviation of each (Bernoulli) one-hot column."""
-        p = self.column_means()
-        return np.sqrt(p * (1.0 - p))
-
-    # ------------------------------------------------------------------
-    # Gathered escape hatches
+    # Gathered and dense escape hatches
     # ------------------------------------------------------------------
     def gather(self) -> CategoricalMatrix:
-        """Materialise the gathered ``(n, d)`` categorical matrix.
-
-        The ``O(n·d_R)`` per-dimension gather the factorized kernels
-        exist to avoid — only escape hatches (Gram blocks, dense
-        conversion, engine downgrades) pay it.
-        """
-        codes = np.empty((self.n_rows, self.n_features), dtype=np.int64)
-        if len(self.fact_positions):
-            codes[:, self.fact_positions] = self.fact_codes
-        for group in self.groups:
-            codes[:, group.positions] = group.block[group.dim_rows]
+        """The gathered ``(n, d)`` categorical matrix (see :attr:`codes`)."""
         return CategoricalMatrix(
-            codes, self.n_levels, self.names, validate=False
+            self.codes, self.n_levels, self.names, validate=False
         )
 
     def toarray(self) -> np.ndarray:
-        """Materialise the dense one-hot equivalent (via the gather)."""
-        return self.gather().onehot_view().toarray()
+        """Materialise the dense one-hot equivalent.
+
+        The single owner of the dense construction:
+        ``CategoricalMatrix.onehot()`` delegates here.
+        """
+        out = np.zeros(self.shape, dtype=np.float64)
+        rows = np.arange(self.n_rows)[:, np.newaxis]
+        if len(self.fact_positions):
+            out[rows, self._fact_flat_codes()] = 1.0
+        for group in self.groups:
+            out[
+                rows, group.block[group.dim_rows] + self.offsets[group.positions]
+            ] = 1.0
+        return out
 
     def __repr__(self) -> str:
         return (
@@ -724,51 +508,44 @@ class FactorizedMatrix:
 # ----------------------------------------------------------------------
 def encode_features(
     X: "CategoricalMatrix | FactorizedMatrix", engine: str = "implicit"
-) -> "OneHotMatrix | FactorizedMatrix | np.ndarray":
+) -> "FactorizedMatrix | np.ndarray":
     """Encode a feature matrix under the chosen execution engine.
 
-    A :class:`FactorizedMatrix` shard passes straight through under the
-    factorized engine; under implicit/dense it is gathered first, so a
-    factorized-encoded stream still feeds engine-mismatched models
-    correctly (at the gather's cost).  A gathered
-    :class:`~repro.ml.encoding.CategoricalMatrix` under the factorized
-    engine becomes the degenerate all-fact factorization, which is
-    bit-identical to the implicit engine.
+    ``"factorized"`` keeps a :class:`FactorizedMatrix` as it is;
+    ``"implicit"`` gathers a grouped one (so a factorized-encoded stream
+    still feeds engine-mismatched models correctly, at the gather's
+    cost).  Either way a gathered
+    :class:`~repro.ml.encoding.CategoricalMatrix` becomes the zero-group
+    form over its codes.  ``"dense"`` materialises the one-hot array.
     """
     check_engine(engine)
     if isinstance(X, FactorizedMatrix):
         if engine == "factorized":
             return X
         X = X.gather()
-    if engine == "factorized":
-        return FactorizedMatrix.from_categorical(X)
-    if engine == "implicit":
-        return OneHotMatrix(X)
-    return X.onehot()
+    if engine == "dense":
+        return X.onehot()
+    return FactorizedMatrix.from_categorical(X)
 
 
-def matmul(
-    A: "OneHotMatrix | FactorizedMatrix | np.ndarray", W: np.ndarray
-) -> np.ndarray:
+def matmul(A: "FactorizedMatrix | np.ndarray", W: np.ndarray) -> np.ndarray:
     """``A @ W`` for any engine's operand."""
-    if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
+    if isinstance(A, FactorizedMatrix):
         return A.matmul(W)
     return A @ W
 
 
-def rmatmul(
-    A: "OneHotMatrix | FactorizedMatrix | np.ndarray", V: np.ndarray
-) -> np.ndarray:
+def rmatmul(A: "FactorizedMatrix | np.ndarray", V: np.ndarray) -> np.ndarray:
     """``A.T @ V`` for any engine's operand."""
-    if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
+    if isinstance(A, FactorizedMatrix):
         return A.rmatmul(V)
     return A.T @ V
 
 
 def take_rows(
-    A: "OneHotMatrix | FactorizedMatrix | np.ndarray", rows: np.ndarray | slice
-) -> "OneHotMatrix | FactorizedMatrix | np.ndarray":
+    A: "FactorizedMatrix | np.ndarray", rows: np.ndarray | slice
+) -> "FactorizedMatrix | np.ndarray":
     """Row subset of any engine's operand."""
-    if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
+    if isinstance(A, FactorizedMatrix):
         return A.take_rows(rows)
     return A[rows]

@@ -5,26 +5,27 @@
 - RBF: ``k(x, z) = exp(-gamma · ||x - z||^2)``
 
 All kernels return the Gram block ``K[i, j] = k(A_i, B_j)`` and accept
-either 2-D dense row-example matrices or a pair of
-:class:`~repro.ml.sparse.OneHotMatrix` views.  For the implicit views
-the inner products reduce to code-equality counts (one-hot rows share a
-1 exactly where their codes agree), so no dense encoding is ever
-materialised; mixing a view with a dense matrix is rejected.
+either 2-D dense row-example matrices or a pair of implicit
+:class:`~repro.ml.sparse.FactorizedMatrix` operands.  For implicit
+operands the inner products reduce to code-equality counts (one-hot
+rows share a 1 exactly where their codes agree), so no dense encoding
+is ever materialised; mixing an implicit operand with a dense matrix is
+rejected.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.sparse import OneHotMatrix
+from repro.ml.sparse import FactorizedMatrix
 
 
 def _implicit_pair(A, B) -> bool:
-    """Whether the operands are a (valid) pair of implicit views."""
-    a, b = isinstance(A, OneHotMatrix), isinstance(B, OneHotMatrix)
+    """Whether the operands are a (valid) pair of implicit operands."""
+    a, b = isinstance(A, FactorizedMatrix), isinstance(B, FactorizedMatrix)
     if a != b:
         raise TypeError(
-            "kernel operands must both be dense or both be OneHotMatrix; "
+            "kernel operands must both be dense or both be FactorizedMatrix; "
             f"got {type(A).__name__} and {type(B).__name__}"
         )
     return a

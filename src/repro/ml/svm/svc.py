@@ -18,7 +18,6 @@ import numpy as np
 from repro.ml import sparse
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
-from repro.ml.sparse import OneHotMatrix
 from repro.ml.svm.kernels import kernel_function
 from repro.ml.svm.smo import solve_smo
 
@@ -47,7 +46,9 @@ class KernelSVC(Estimator):
         Seed for the solver's second-choice fallback.
     engine:
         ``"implicit"`` (default) computes Gram blocks from code-equality
-        counts; ``"dense"`` one-hot encodes — the reference fallback,
+        counts; ``"factorized"`` keeps a factorized input's layout for
+        the stored support vectors (Gram blocks still compare gathered
+        codes); ``"dense"`` one-hot encodes — the reference fallback,
         numerically equivalent.
     """
 
@@ -141,12 +142,10 @@ class KernelSVC(Estimator):
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.n_features}"
             )
-        # Encode with whichever engine produced the stored support
-        # vectors, so artifacts fitted under either engine keep working.
-        if isinstance(self.support_vectors_, OneHotMatrix):
-            encoded = OneHotMatrix(X)
-        else:
-            encoded = X.onehot()
+        # Encode to match the stored support vectors' layout (dense or
+        # implicit), so artifacts fitted under any engine keep working.
+        dense = isinstance(self.support_vectors_, np.ndarray)
+        encoded = sparse.encode_features(X, "dense" if dense else "implicit")
         gram = self._kernel()(encoded, self.support_vectors_)
         return gram @ self.dual_coef_ + self.bias_
 

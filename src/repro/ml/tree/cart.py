@@ -42,10 +42,16 @@ import numpy as np
 from repro.errors import UnseenCategoryError
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
+from repro.ml.sparse import FactorizedMatrix
 from repro.ml.tree.criteria import entropy, impurity_function, split_information
 from repro.rng import ensure_rng
 
 _UNSEEN_POLICIES = ("error", "majority", "random")
+
+
+def _gathered(X) -> CategoricalMatrix:
+    """Splits route rows by per-row codes: gather a factorized input once."""
+    return X.gather() if isinstance(X, FactorizedMatrix) else X
 
 
 @dataclass
@@ -146,6 +152,7 @@ class DecisionTreeClassifier(Estimator):
     # ------------------------------------------------------------------
     def fit(self, X: CategoricalMatrix, y: np.ndarray) -> "DecisionTreeClassifier":
         y = check_X_y(X, y)
+        X = _gathered(X)
         self._validate_hyperparameters()
         self.n_classes_ = int(y.max()) + 1 if y.size else 2
         if self.n_classes_ < 2:
@@ -476,6 +483,7 @@ class DecisionTreeClassifier(Estimator):
             raise ValueError(
                 f"expected {len(self.n_levels_)} features, got {X.n_features}"
             )
+        X = _gathered(X)
         self._enforce_unseen_policy(X)
         out = np.zeros((X.n_rows, self.n_classes_), dtype=np.float64)
         rng = (

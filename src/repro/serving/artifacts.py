@@ -320,8 +320,9 @@ def load_artifact(path: str | Path) -> ModelArtifact:
     Raises
     ------
     SchemaError
-        If the file is not an artifact or its format version is newer
-        than this library understands.
+        If the file is not an artifact, its format version is newer
+        than this library understands, or its pickled model names a
+        class or module this version no longer has.
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -332,7 +333,17 @@ def load_artifact(path: str | Path) -> ModelArtifact:
             f"supported v{ARTIFACT_FORMAT_VERSION}; upgrade repro to load it"
         )
     with zipfile.ZipFile(path) as archive:
-        payload = pickle.loads(archive.read(_PAYLOAD_NAME))
+        raw = archive.read(_PAYLOAD_NAME)
+    try:
+        payload = pickle.loads(raw)
+    except (AttributeError, ImportError) as exc:
+        # The payload names a class or module this version no longer has.
+        raise SchemaError(
+            f"{path}: artifact saved by repro "
+            f"{manifest.get('repro_version', 'unknown')} references code "
+            f"that repro {repro.__version__} lacks ({exc}); re-save the "
+            f"model with this version"
+        ) from exc
     return ModelArtifact(
         model=payload["model"],
         strategy=strategy_from_dict(manifest["strategy"]),

@@ -91,7 +91,7 @@ class ScalePoint:
     streaming_seconds: float
     streaming_train_accuracy: float
     #: Resident bytes of one shard's matrix + implicit one-hot view
-    #: (``CategoricalMatrix.nbytes`` + ``OneHotMatrix.nbytes``) — the
+    #: (``CategoricalMatrix.nbytes`` + ``onehot_view().nbytes``) — the
     #: per-shard working set the streaming peak should track.
     shard_working_set_bytes: int = 0
     #: What the same shard would cost as a dense one-hot encoding.

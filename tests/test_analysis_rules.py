@@ -537,98 +537,3 @@ class TestFeatureSource:
             "feature-source",
         )
         assert {f.line for f in findings} == {1, 2}
-
-
-_GOOD_ENGINE = """\
-class MiniMatrix:
-    def matmul(self, W):
-        return W
-
-    def rmatmul(self, V):
-        return V
-
-    @property
-    def nbytes(self):
-        return 0
-
-    def column_counts(self):
-        return []
-
-    def column_means(self):
-        return []
-
-    def column_scales(self):
-        return []
-"""
-
-
-class TestEngineConformance:
-    def test_fires_when_engine_surface_is_missing(self, tmp_path):
-        source = (
-            "class HalfEngine:\n"
-            "    def matmul(self, W):\n"
-            "        return W\n"
-            "    def rmatmul(self, V):\n"
-            "        return V\n"
-            "    def column_counts(self):\n"
-            "        return []\n"
-        )
-        findings = _findings(tmp_path, source, "engine-conformance")
-        assert len(findings) == 1
-        message = findings[0].message
-        assert "nbytes" in message and "column_means" in message
-        assert "column_counts" not in message.split("define:")[1]
-
-    def test_silent_without_both_kernels(self, tmp_path):
-        source = (
-            "class HalfKernel:\n"
-            "    def matmul(self, W):\n"
-            "        return W\n"
-        )
-        assert _findings(tmp_path, source, "engine-conformance") == []
-
-    def test_silent_on_full_engine_surface(self, tmp_path):
-        assert _findings(tmp_path, _GOOD_ENGINE, "engine-conformance") == []
-
-    def test_protocol_definition_classes_are_skipped(self, tmp_path):
-        source = (
-            "class Engine:\n"
-            "    nbytes: int\n"
-            "    def matmul(self, W):\n"
-            "        raise NotImplementedError\n"
-            "    def rmatmul(self, V):\n"
-            "        raise NotImplementedError\n"
-            "    def column_counts(self):\n"
-            "        raise NotImplementedError\n"
-            "    def column_means(self):\n"
-            "        raise NotImplementedError\n"
-            "    def column_scales(self):\n"
-            "        raise NotImplementedError\n"
-        )
-        assert _findings(tmp_path, source, "engine-conformance") == []
-
-    def test_surface_resolves_through_cross_file_bases(self, tmp_path):
-        findings = _project_findings(
-            tmp_path,
-            {
-                "base.py": _GOOD_ENGINE,
-                "sub.py": (
-                    "from base import MiniMatrix\n"
-                    "class Specialized(MiniMatrix):\n"
-                    "    def matmul(self, W):\n"
-                    "        return W * 2\n"
-                    "    def rmatmul(self, V):\n"
-                    "        return V * 2\n"
-                ),
-            },
-            "engine-conformance",
-        )
-        assert findings == []
-
-    def test_shipped_engine_matrices_pass_clean(self):
-        findings = run_analysis(
-            [SRC_REPRO / "ml" / "sparse.py", SRC_REPRO / "ml" / "encoding.py"],
-            get_rules(["engine-conformance"]),
-            known_rule_ids=ALL_IDS,
-        )
-        assert list(findings.findings) == []

@@ -31,7 +31,11 @@ from repro.datasets import (
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression
 from repro.ml.naive_bayes import CategoricalNB
+from repro.ml.neighbors import KNeighborsClassifier
+from repro.ml.neural import MLPClassifier
 from repro.ml.sparse import FactorizedMatrix
+from repro.ml.svm import KernelSVC
+from repro.ml.tree import DecisionTreeClassifier
 from repro.relational import (
     CategoricalColumn,
     Domain,
@@ -101,20 +105,6 @@ class TestKernelEquivalence:
         assert np.allclose(factorized.rmatmul(v), view.rmatmul(v), **TOL)
         assert np.allclose(factorized.rmatmul(V), view.rmatmul(V), **TOL)
 
-    def test_column_stats_match_gathered(self):
-        dataset = star_dataset(skew=True, seed=7)
-        gathered, factorized, _ = encode_both(dataset, join_all_strategy())
-        view = gathered.onehot_view()
-        assert np.array_equal(
-            factorized.column_counts(), view.column_counts()
-        )
-        assert np.allclose(
-            factorized.column_means(), view.column_means(), **TOL
-        )
-        assert np.allclose(
-            factorized.column_scales(), view.column_scales(), **TOL
-        )
-
     def test_gather_reproduces_the_code_table(self):
         dataset = star_dataset(seed=11)
         gathered, factorized, _ = encode_both(dataset, join_all_strategy())
@@ -130,12 +120,27 @@ class TestKernelEquivalence:
         gathered, _, _ = encode_both(dataset, join_all_strategy())
         degenerate = FactorizedMatrix.from_categorical(gathered)
         assert degenerate.groups == ()
+        assert degenerate.fact_codes is gathered.codes
         rng = np.random.default_rng(19)
         w = rng.normal(size=degenerate.width)
         V = rng.normal(size=(degenerate.n_rows, 2))
-        view = gathered.onehot_view()
-        assert np.array_equal(degenerate.matmul(w), view.matmul(w))
-        assert np.array_equal(degenerate.rmatmul(V), view.rmatmul(V))
+        # The implicit engine's formulas, written out: a per-row gather
+        # sum for X @ w and one flat weighted bincount per column of V.
+        d = gathered.n_features
+        offsets = np.concatenate(([0], np.cumsum(gathered.n_levels)))
+        flat = gathered.codes + offsets[:-1][np.newaxis, :]
+        expected_V = np.column_stack(
+            [
+                np.bincount(
+                    flat.ravel(),
+                    weights=np.repeat(V[:, column], d),
+                    minlength=degenerate.width,
+                )
+                for column in range(V.shape[1])
+            ]
+        )
+        assert np.array_equal(degenerate.matmul(w), w[flat].sum(axis=1))
+        assert np.array_equal(degenerate.rmatmul(V), expected_V)
 
     def test_take_rows_matches_gathered_subset(self):
         dataset = star_dataset(seed=23)
@@ -259,6 +264,36 @@ class TestTrainingEquivalence:
             StreamingTrainer(model).fit(stream)
             coefs[engine] = model.coef_
         assert np.allclose(coefs["factorized"], coefs["implicit"], **TOL)
+
+
+ESTIMATORS = {
+    "tree": lambda: DecisionTreeClassifier(unseen="majority"),
+    "svc_implicit": lambda: KernelSVC(engine="implicit"),
+    "svc_factorized": lambda: KernelSVC(engine="factorized"),
+    "knn": lambda: KNeighborsClassifier(),
+    "mlp": lambda: MLPClassifier(hidden_sizes=(8,), epochs=3, random_state=0),
+    "nb": lambda: CategoricalNB(),
+    "lr_l1": lambda: L1LogisticRegression(lam=1e-3, max_iter=30),
+}
+
+
+class TestEveryEstimatorAcceptsFactorized:
+    """Whatever ``check_X_y`` accepts, every estimator fits and predicts:
+    a grouped FactorizedMatrix gives exactly its gather's predictions."""
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_grouped_input_predicts_like_its_gather(self, name):
+        dataset = star_dataset(n=150, n_r=5, seed=43)
+        strategy = join_all_strategy()
+        _, train, y = encode_both(dataset, strategy)
+        _, test, _ = encode_both(dataset, strategy, split="test")
+        assert train.groups and test.groups
+        grouped = ESTIMATORS[name]().fit(train, y)
+        gathered = ESTIMATORS[name]().fit(train.gather(), y)
+        for X in (train, test):
+            assert np.array_equal(
+                grouped.predict(X), gathered.predict(X.gather())
+            )
 
 
 def _artifact(model, feature_names, dataset, model_key) -> ModelArtifact:

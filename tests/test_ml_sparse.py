@@ -1,10 +1,10 @@
 """Implicit one-hot engine: every kernel must match the dense path.
 
 The dense ``CategoricalMatrix.onehot()`` encoding is the reference
-implementation; :class:`repro.ml.sparse.OneHotMatrix` must reproduce
-its linear algebra to 1e-10 — products, gradients, Gram blocks,
-distances, column statistics — and the numeric models must agree across
-``engine="implicit"`` and ``engine="dense"``.
+implementation; the zero-group :class:`repro.ml.sparse.FactorizedMatrix`
+that ``onehot_view()`` returns must reproduce its linear algebra to
+1e-10 — products, gradients, Gram blocks, distances — and the numeric
+models must agree across ``engine="implicit"`` and ``engine="dense"``.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from repro.ml import sparse
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression
 from repro.ml.neural import MLPClassifier
-from repro.ml.sparse import OneHotMatrix
+from repro.ml.sparse import FactorizedMatrix
 from repro.ml.svm import KernelSVC
 from repro.ml.svm.kernels import linear_kernel, polynomial_kernel, rbf_kernel
 
@@ -73,20 +73,13 @@ class TestOneHotMatrixKernels:
         got = A.onehot_view().squared_distances(B.onehot_view())
         assert np.allclose(got, expected, **TOL)
 
-    def test_column_means_and_scales(self):
-        X = _random_matrix(50, (3, 8), seed=13)
-        hot = X.onehot()
-        view = X.onehot_view()
-        assert np.allclose(view.column_means(), hot.mean(axis=0), **TOL)
-        assert np.allclose(view.column_scales(), hot.std(axis=0), **TOL)
-
     def test_single_level_feature(self):
         """A 1-level domain one-hots to a constant column of ones."""
         X = _random_matrix(12, (1, 4), seed=14)
         view = X.onehot_view()
         w = np.random.default_rng(15).normal(size=view.width)
         assert np.allclose(view.matmul(w), X.onehot() @ w, **TOL)
-        assert view.column_means()[0] == 1.0
+        assert view.rmatmul(np.ones(12))[0] == 12.0
 
     def test_empty_features(self):
         X = CategoricalMatrix.empty(6)
@@ -104,7 +97,7 @@ class TestOneHotMatrixKernels:
         view = X.onehot_view()
         assert view.matmul(np.zeros(5)).shape == (0,)
         assert view.rmatmul(np.zeros((0, 2))).shape == (5, 2)
-        assert view.column_means().shape == (5,)
+        assert view.rmatmul(np.zeros(0)).shape == (5,)
 
     def test_take_rows_array_mask_and_slice(self):
         X = _random_matrix(10, (4, 3), seed=17)
@@ -124,7 +117,7 @@ class TestOneHotMatrixKernels:
             view.matmul(np.zeros(7))
         with pytest.raises(ValueError, match="rows"):
             view.rmatmul(np.zeros(9))
-        with pytest.raises(TypeError, match="OneHotMatrix"):
+        with pytest.raises(TypeError, match="FactorizedMatrix"):
             view.match_counts(np.zeros((2, 3)))
         other = _random_matrix(5, (4,), seed=19).onehot_view()
         with pytest.raises(ValueError, match="domains"):
@@ -161,7 +154,7 @@ class TestKernelDispatch:
 class TestEngineDispatch:
     def test_encode_features(self):
         X = _random_matrix(6, (3, 2), seed=24)
-        assert isinstance(sparse.encode_features(X, "implicit"), OneHotMatrix)
+        assert isinstance(sparse.encode_features(X, "implicit"), FactorizedMatrix)
         assert isinstance(sparse.encode_features(X, "dense"), np.ndarray)
         with pytest.raises(ValueError, match="engine"):
             sparse.encode_features(X, "csr")
@@ -234,7 +227,7 @@ class TestModelEngineEquivalence:
         X, y = _separable(n=120, seed=5)
         model = KernelSVC(kernel=kernel, C=1.0, gamma=0.5).fit(X, y)
         implicit = model.decision_function(X)
-        assert isinstance(model.support_vectors_, OneHotMatrix)
+        assert isinstance(model.support_vectors_, FactorizedMatrix)
         model.support_vectors_ = model.support_vectors_.toarray()
         dense = model.decision_function(X)
         assert np.allclose(implicit, dense, **TOL)

@@ -1,11 +1,15 @@
 """Artifact save → load → predict round trips and format guarantees."""
 
+import dataclasses
 import json
+import sys
+import types
 import zipfile
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     PartialJoinStrategy,
     avoid_dimensions_strategy,
@@ -27,7 +31,7 @@ from repro.serving import (
 )
 from repro.serving.artifacts import strategy_from_dict, strategy_to_dict
 
-MODEL_FAMILIES = ["lr_l1", "nb_bfs", "dt_gini", "ann"]
+MODEL_FAMILIES = ["lr_l1", "nb_bfs", "dt_gini", "ann", "svm_rbf"]
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +114,39 @@ def test_non_artifact_file_rejected(tmp_path):
         archive.writestr("readme.txt", "not an artifact")
     with pytest.raises(SchemaError, match="not a repro model artifact"):
         load_artifact(path)
+
+
+@pytest.mark.parametrize(
+    "module_name, class_name",
+    [
+        ("repro.ml.sparse", "RetiredOperand"),  # a class this version lacks
+        ("repro.parallel.shm", "SharedShard"),  # package removed in 1.9.0
+    ],
+)
+def test_payload_naming_removed_code_is_a_schema_error(
+    dataset, scale, tmp_path, monkeypatch, module_name, class_name
+):
+    """An artifact pickled against code this version lacks fails typed."""
+    pipeline = fit_pipeline(dataset, "dt_gini", no_join_strategy(), scale=scale)
+    stale = type(class_name, (), {"__module__": module_name})
+    path = tmp_path / "stale.repro-model"
+    with monkeypatch.context() as patch:
+        module = sys.modules.get(module_name)
+        if module is None:
+            module = types.ModuleType(module_name)
+            patch.setitem(sys.modules, module_name, module)
+        patch.setattr(module, class_name, stale, raising=False)
+        artifact = dataclasses.replace(
+            artifact_from_pipeline(pipeline, dataset.schema),
+            model=stale(),
+            repro_version="0.0.1",
+        )
+        save_artifact(artifact, path)
+    with pytest.raises(SchemaError) as info:
+        load_artifact(path)
+    message = str(info.value)
+    assert "0.0.1" in message and repro.__version__ in message
+    assert "re-save the model" in message
 
 
 class TestSchemaFingerprint:
