@@ -433,7 +433,13 @@ class FactorizedMatrix:
         ``self.toarray() @ other.toarray().T`` without the encoding.
         Zero-group operands compare their shared codes directly; a
         grouped one is gathered first.  Computed in row chunks of
-        ``self`` to bound the boolean temporary at ``chunk_size × m × d``.
+        ``self``, one feature at a time: each feature's equality mask
+        goes into a reused ``chunk_size × m`` boolean buffer and is
+        added into an integer counter of the smallest unsigned dtype
+        that holds ``d``, so the temporaries are ``chunk_size × m``
+        whatever the width.  The counts are exact integers, so the
+        float64 result is the same bit for bit as any other exact
+        summation.
         """
         if not isinstance(other, FactorizedMatrix):
             raise TypeError(
@@ -449,12 +455,20 @@ class FactorizedMatrix:
         out = np.zeros((n, m), dtype=np.float64)
         if self.n_features == 0:
             return out
-        A, B = self.codes, other.codes
+        # Feature-major copies make every per-feature column contiguous.
+        A = np.ascontiguousarray(self.codes.T)
+        B = np.ascontiguousarray(other.codes.T)
+        rows = min(chunk_size, n)
+        mask = np.empty((rows, m), dtype=bool)
+        counts = np.empty((rows, m), dtype=np.min_scalar_type(self.n_features))
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)
-            out[start:stop] = (
-                A[start:stop, np.newaxis, :] == B[np.newaxis, :, :]
-            ).sum(axis=2)
+            buf, acc = mask[: stop - start], counts[: stop - start]
+            acc.fill(0)
+            for a, b in zip(A[:, start:stop], B):
+                np.equal(a[:, np.newaxis], b[np.newaxis, :], out=buf)
+                acc += buf
+            out[start:stop] = acc
         return out
 
     def squared_distances(

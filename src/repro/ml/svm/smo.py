@@ -10,6 +10,14 @@ second one (maximal |E_i - E_j|, falling back to random), and solve the
 two-variable subproblem analytically.  An error cache keeps passes
 vectorised; the Gram matrix is computed once up front, which is fine at
 the dataset scales this reproduction runs.
+
+The loop itself is scalar Python: labels, multipliers, the Gram
+diagonal and the entries it touches are read as Python floats, which
+are the same IEEE-754 doubles as numpy float64 scalars, so every
+expression rounds exactly as it would over numpy scalars at a fraction
+of the per-operation cost.  The non-bound candidates for the
+second-choice heuristic depend on ``alpha`` alone, so they are
+recomputed only after an accepted update rather than on every lookup.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ class SMOResult:
     alpha: np.ndarray
     bias: float
     n_iterations: int
+    #: Whether the pass rule (``max_passes`` quiet passes) ended the
+    #: solve, rather than the ``max_iterations`` cap.
     converged: bool
 
 
@@ -45,7 +55,7 @@ def solve_smo(
     Parameters
     ----------
     gram:
-        ``(n, n)`` kernel matrix.
+        ``(n, n)`` float64 kernel matrix.
     y_signed:
         Labels in {-1, +1}.
     C:
@@ -56,8 +66,10 @@ def solve_smo(
         Number of consecutive full passes without any update before
         declaring convergence (Platt's simplified stopping rule).
     max_iterations:
-        Hard cap on total examined pairs, a safety net for pathological
-        gamma/C combinations in grid search.
+        Cap on multipliers examined (one per index visited), a safety
+        net for pathological gamma/C combinations in grid search.  It
+        is checked only between full passes, so a run can exceed it by
+        up to ``n - 1``.
     seed:
         Randomness for the fallback second-choice heuristic.
     """
@@ -77,29 +89,39 @@ def solve_smo(
     bias = 0.0
     # errors[i] = f(x_i) - y_i, maintained incrementally.
     errors = -y.copy()
+    # Python-float mirrors of the scalars the loop reads: the same
+    # IEEE-754 doubles as numpy float64 scalars, without their overhead.
+    ys = y.tolist()
+    alphas = alpha.tolist()
+    diag = gram.diagonal().tolist()
+    error_at = errors.item
+    gram_at = gram.item
+    # Non-bound multipliers depend on alpha alone: refreshed per update.
+    non_bound = ((alpha > 0) & (alpha < C)).nonzero()[0]
+    step, step_j = np.empty(n), np.empty(n)
     passes = 0
     iterations = 0
-
-    def select_second(i: int) -> int:
-        candidates = np.flatnonzero((alpha > 0) & (alpha < C))
-        candidates = candidates[candidates != i]
-        if candidates.size:
-            return int(candidates[np.argmax(np.abs(errors[candidates] - errors[i]))])
-        j = int(rng.integers(0, n - 1))
-        return j if j < i else j + 1
 
     while passes < max_passes and iterations < max_iterations:
         changed = 0
         for i in range(n):
-            iterations += 1
-            e_i = errors[i]
-            r_i = e_i * y[i]
-            if not ((r_i < -tol and alpha[i] < C) or (r_i > tol and alpha[i] > 0)):
+            e_i = error_at(i)
+            y_i = ys[i]
+            a_i_old = alphas[i]
+            r_i = e_i * y_i
+            if not ((r_i < -tol and a_i_old < C) or (r_i > tol and a_i_old > 0)):
                 continue
-            j = select_second(i)
-            e_j = errors[j]
-            a_i_old, a_j_old = alpha[i], alpha[j]
-            if y[i] != y[j]:
+            candidates = non_bound[non_bound != i]
+            if candidates.size:
+                j = int(candidates[np.abs(errors[candidates] - e_i).argmax()])
+            else:
+                j = int(rng.integers(0, n - 1))
+                if j >= i:
+                    j += 1
+            e_j = error_at(j)
+            y_j = ys[j]
+            a_j_old = alphas[j]
+            if y_i != y_j:
                 low = max(0.0, a_j_old - a_i_old)
                 high = min(C, C + a_j_old - a_i_old)
             else:
@@ -107,27 +129,32 @@ def solve_smo(
                 high = min(C, a_i_old + a_j_old)
             if high - low < 1e-12:
                 continue
-            eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+            k_ij = gram_at(i, j)
+            k_ii, k_jj = diag[i], diag[j]
+            eta = 2.0 * k_ij - k_ii - k_jj
             if eta >= 0:
                 continue
-            a_j = a_j_old - y[j] * (e_i - e_j) / eta
+            a_j = a_j_old - y_j * (e_i - e_j) / eta
             a_j = min(high, max(low, a_j))
             if abs(a_j - a_j_old) < 1e-7 * (a_j + a_j_old + 1e-7):
                 continue
-            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
+            a_i = a_i_old + y_i * y_j * (a_j_old - a_j)
             alpha[i], alpha[j] = a_i, a_j
+            # Read back: an int C clipped into a_j is stored as float64.
+            alphas[i], alphas[j] = alpha.item(i), alpha.item(j)
+            non_bound = ((alpha > 0) & (alpha < C)).nonzero()[0]
 
             b1 = (
                 bias
                 - e_i
-                - y[i] * (a_i - a_i_old) * gram[i, i]
-                - y[j] * (a_j - a_j_old) * gram[i, j]
+                - y_i * (a_i - a_i_old) * k_ii
+                - y_j * (a_j - a_j_old) * k_ij
             )
             b2 = (
                 bias
                 - e_j
-                - y[i] * (a_i - a_i_old) * gram[i, j]
-                - y[j] * (a_j - a_j_old) * gram[j, j]
+                - y_i * (a_i - a_i_old) * k_ij
+                - y_j * (a_j - a_j_old) * k_jj
             )
             if 0 < a_i < C:
                 new_bias = b1
@@ -135,16 +162,24 @@ def solve_smo(
                 new_bias = b2
             else:
                 new_bias = 0.5 * (b1 + b2)
-            delta_i = y[i] * (a_i - a_i_old)
-            delta_j = y[j] * (a_j - a_j_old)
-            errors += delta_i * gram[i] + delta_j * gram[j] + (new_bias - bias)
+            delta_i = y_i * (a_i - a_i_old)
+            delta_j = y_j * (a_j - a_j_old)
+            # errors += delta_i * K_i + delta_j * K_j + (new_bias - bias),
+            # the same operations in the same order, in reused buffers.
+            np.multiply(delta_i, gram[i], out=step)
+            np.multiply(delta_j, gram[j], out=step_j)
+            step += step_j
+            step += new_bias - bias
+            errors += step
             bias = new_bias
             changed += 1
+        # Every index is examined once per pass.
+        iterations += n
         passes = passes + 1 if changed == 0 else 0
 
     return SMOResult(
         alpha=alpha,
         bias=bias,
         n_iterations=iterations,
-        converged=iterations < max_iterations,
+        converged=passes >= max_passes,
     )

@@ -121,6 +121,113 @@ class Test1NN:
             KNeighborsClassifier().predict(X)
 
 
+def _reference_smo(gram, y, C, tol, max_passes, max_iterations, seed):
+    """The numpy-scalar SMO loop as it stood before the scalar rewrite.
+
+    Kept verbatim (validation aside) as the bit-identity oracle for
+    :func:`solve_smo`: same visiting order, same expressions, same
+    random draws.  Returns ``(alpha, bias, n_iterations)``.
+    """
+    n = gram.shape[0]
+    y = np.asarray(y, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+
+    alpha = np.zeros(n)
+    bias = 0.0
+    errors = -y.copy()
+    passes = 0
+    iterations = 0
+
+    def select_second(i):
+        candidates = np.flatnonzero((alpha > 0) & (alpha < C))
+        candidates = candidates[candidates != i]
+        if candidates.size:
+            return int(candidates[np.argmax(np.abs(errors[candidates] - errors[i]))])
+        j = int(rng.integers(0, n - 1))
+        return j if j < i else j + 1
+
+    while passes < max_passes and iterations < max_iterations:
+        changed = 0
+        for i in range(n):
+            iterations += 1
+            e_i = errors[i]
+            r_i = e_i * y[i]
+            if not ((r_i < -tol and alpha[i] < C) or (r_i > tol and alpha[i] > 0)):
+                continue
+            j = select_second(i)
+            e_j = errors[j]
+            a_i_old, a_j_old = alpha[i], alpha[j]
+            if y[i] != y[j]:
+                low = max(0.0, a_j_old - a_i_old)
+                high = min(C, C + a_j_old - a_i_old)
+            else:
+                low = max(0.0, a_i_old + a_j_old - C)
+                high = min(C, a_i_old + a_j_old)
+            if high - low < 1e-12:
+                continue
+            eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+            if eta >= 0:
+                continue
+            a_j = a_j_old - y[j] * (e_i - e_j) / eta
+            a_j = min(high, max(low, a_j))
+            if abs(a_j - a_j_old) < 1e-7 * (a_j + a_j_old + 1e-7):
+                continue
+            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
+            alpha[i], alpha[j] = a_i, a_j
+
+            b1 = (
+                bias
+                - e_i
+                - y[i] * (a_i - a_i_old) * gram[i, i]
+                - y[j] * (a_j - a_j_old) * gram[i, j]
+            )
+            b2 = (
+                bias
+                - e_j
+                - y[i] * (a_i - a_i_old) * gram[i, j]
+                - y[j] * (a_j - a_j_old) * gram[j, j]
+            )
+            if 0 < a_i < C:
+                new_bias = b1
+            elif 0 < a_j < C:
+                new_bias = b2
+            else:
+                new_bias = 0.5 * (b1 + b2)
+            delta_i = y[i] * (a_i - a_i_old)
+            delta_j = y[j] * (a_j - a_j_old)
+            errors += delta_i * gram[i] + delta_j * gram[j] + (new_bias - bias)
+            bias = new_bias
+            changed += 1
+        passes = passes + 1 if changed == 0 else 0
+
+    return alpha, bias, iterations
+
+
+def _smo_case(kernel, rounded, seed, n=30):
+    """A Gram matrix and noisy labels; ``rounded`` duplicates rows."""
+    rng = np.random.default_rng(seed)
+    if rounded:
+        X = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, 3))
+    y = np.where(X[:, 0] + 0.7 * rng.normal(size=n) > X[:, 0].mean(), 1.0, -1.0)
+    gram = linear_kernel(X, X) if kernel == "linear" else rbf_kernel(X, X, gamma=0.5)
+    return gram, y
+
+
+def _assert_same_solve(gram, y, C, max_passes, max_iterations, seed):
+    got = solve_smo(
+        gram, y, C=C, max_passes=max_passes,
+        max_iterations=max_iterations, seed=seed,
+    )
+    alpha, bias, iterations = _reference_smo(
+        gram, y, C, 1e-3, max_passes, max_iterations, seed
+    )
+    assert np.array_equal(got.alpha, alpha)
+    assert got.bias == bias
+    assert got.n_iterations == iterations
+
+
 class TestSMO:
     def test_solves_trivially_separable(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -149,6 +256,38 @@ class TestSMO:
             solve_smo(gram, np.array([0.0, 1.0, 1.0]), C=1.0)
         with pytest.raises(ValueError, match="positive"):
             solve_smo(gram, np.array([1.0, -1.0, 1.0]), C=0.0)
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 10.0, 1000.0])
+    def test_bit_identical_to_reference_loop(self, kernel, C):
+        for seed in range(3):
+            for rounded in (False, True):
+                gram, y = _smo_case(kernel, rounded, seed)
+                for max_passes in range(1, 6):
+                    _assert_same_solve(gram, y, C, max_passes, 1_500, seed)
+
+    @pytest.mark.parametrize("max_iterations", [1, 29, 31, 61, 95])
+    def test_bit_identical_under_iteration_caps(self, max_iterations):
+        for seed in range(4):
+            for kernel in ("linear", "rbf"):
+                gram, y = _smo_case(kernel, seed % 2 == 1, seed)
+                _assert_same_solve(gram, y, 1000.0, 5, max_iterations, seed)
+
+    def test_converged_reports_the_pass_rule(self):
+        """A solve that meets the pass rule exactly at the cap converged."""
+        gram, y = np.ones((4, 4)), np.array([1.0, -1.0, 1.0, -1.0])
+        at_cap = solve_smo(gram, y, C=1.0, max_passes=3, max_iterations=12)
+        roomy = solve_smo(gram, y, C=1.0, max_passes=3, max_iterations=13)
+        assert at_cap.n_iterations == roomy.n_iterations == 12
+        assert at_cap.converged and roomy.converged
+        assert np.array_equal(at_cap.alpha, roomy.alpha)
+        assert at_cap.bias == roomy.bias
+
+    def test_capped_solve_is_not_converged(self):
+        gram, y = _smo_case("linear", False, seed=0)
+        result = solve_smo(gram, y, C=1000.0, max_passes=5, max_iterations=1)
+        assert result.n_iterations == 30
+        assert not result.converged
 
 
 class TestKernels:

@@ -14,7 +14,7 @@ from repro.ml import sparse
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression
 from repro.ml.neural import MLPClassifier
-from repro.ml.sparse import FactorizedMatrix
+from repro.ml.sparse import FactorizedGroup, FactorizedMatrix
 from repro.ml.svm import KernelSVC
 from repro.ml.svm.kernels import linear_kernel, polynomial_kernel, rbf_kernel
 
@@ -28,6 +28,47 @@ def _random_matrix(n, levels, seed=0):
     ) if levels else np.zeros((n, 0), dtype=np.int64)
     names = tuple(f"f{j}" for j in range(len(levels)))
     return CategoricalMatrix(codes, levels, names)
+
+
+def _grouped_matrix(n, seed=0):
+    """A grouped operand: features 1 and 3 come from a 5-row dimension."""
+    rng = np.random.default_rng(seed)
+    levels = (4, 3, 5, 2)
+    group = FactorizedGroup(
+        "dim",
+        positions=[1, 3],
+        dim_rows=rng.integers(0, 5, size=n),
+        block=np.column_stack(
+            [rng.integers(0, 3, size=5), rng.integers(0, 2, size=5)]
+        ),
+    )
+    fact_codes = np.column_stack(
+        [rng.integers(0, 4, size=n), rng.integers(0, 5, size=n)]
+    )
+    return FactorizedMatrix(
+        tuple(f"f{j}" for j in range(4)), levels, [0, 2], fact_codes, [group]
+    )
+
+
+_MATCH_COUNTS_CASES = (
+    "small_chunks", "one_chunk", "wide", "grouped_vs_grouped", "grouped_vs_plain",
+)
+
+
+def _match_counts_case(case):
+    """``(A, B, chunk_size)`` operand pairs for the exact Gram test."""
+    if case in ("small_chunks", "one_chunk"):
+        A = _random_matrix(17, (4, 3, 6), seed=9).onehot_view()
+        B = _random_matrix(11, (4, 3, 6), seed=10).onehot_view()
+        return A, B, 5 if case == "small_chunks" else 64
+    if case == "wide":
+        # 300 features: self-matches count past 255, beyond uint8.
+        A = _random_matrix(9, (2,) * 300, seed=18).onehot_view()
+        return A, A, 4
+    grouped = _grouped_matrix(13, seed=19)
+    if case == "grouped_vs_grouped":
+        return grouped, _grouped_matrix(8, seed=20), 3
+    return grouped, _random_matrix(10, (4, 3, 5, 2), seed=21).onehot_view(), 6
 
 
 class TestOneHotMatrixKernels:
@@ -56,10 +97,12 @@ class TestOneHotMatrixKernels:
         assert np.allclose(view.rmatmul(V), X.onehot().T @ V, **TOL)
 
     def test_match_counts_is_linear_gram(self):
-        A = _random_matrix(17, (4, 3, 6), seed=9)
-        B = _random_matrix(11, (4, 3, 6), seed=10)
-        got = A.onehot_view().match_counts(B.onehot_view(), chunk_size=5)
-        assert np.allclose(got, A.onehot() @ B.onehot().T, **TOL)
+        for case in _MATCH_COUNTS_CASES:
+            A, B, chunk_size = _match_counts_case(case)
+            expected = A.gather().onehot() @ B.gather().onehot().T
+            got = A.match_counts(B, chunk_size=chunk_size)
+            assert got.dtype == np.float64, case
+            assert np.array_equal(got, expected), case
 
     def test_squared_distances_match_dense(self):
         A = _random_matrix(13, (5, 2), seed=11)
