@@ -2,11 +2,11 @@
 
 Three fits of the same streaming model over the same sharded source:
 
-1. **clean** — prefetched, no faults: the wall-clock baseline;
+1. **clean** — no faults, through the same retrying wrapper: the
+   wall-clock baseline;
 2. **faulted** — a seeded :class:`~repro.resilience.FaultSchedule`
    gives a fraction of shards first-attempt transient read failures,
-   absorbed by the :class:`~repro.resilience.RetryPolicy` running
-   inside the prefetch worker;
+   absorbed per shard by a :class:`~repro.resilience.RetryingSource`;
 3. **kill/resume** — the same faulted source, with the run killed
    after half its shard steps and resumed from the newest checkpoint.
 
@@ -38,7 +38,6 @@ import time
 from pathlib import Path
 
 from repro.core.strategies import no_join_strategy
-from repro.data import PrefetchingSource
 from repro.data.spec import SourceSpec
 from repro.datasets import generate_real_world
 from repro.experiments.config import get_scale
@@ -48,6 +47,7 @@ from repro.resilience import (
     CheckpointManager,
     FaultInjectingSource,
     FaultSchedule,
+    RetryingSource,
     RetryPolicy,
     TRANSIENT,
 )
@@ -86,18 +86,16 @@ def run(args) -> dict:
             model, epochs=args.epochs, seed=args.seed, mode=mode, **extra
         )
 
-    def prefetched(inject: bool):
+    def retrying(inject: bool):
         inner = (
             FaultInjectingSource(train, schedule, registry=registry)
             if inject
             else train
         )
-        return PrefetchingSource(
+        return RetryingSource(
             inner,
+            RetryPolicy(max_attempts=3, base_delay_s=0.0005, seed=args.seed),
             registry=registry,
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0005, seed=args.seed
-            ),
         )
 
     def timed_fit(source, **extra):
@@ -107,8 +105,8 @@ def run(args) -> dict:
         return model, time.perf_counter() - started
 
     try:
-        clean_model, clean_seconds = timed_fit(prefetched(inject=False))
-        faulted_model, faulted_seconds = timed_fit(prefetched(inject=True))
+        clean_model, clean_seconds = timed_fit(retrying(inject=False))
+        faulted_model, faulted_seconds = timed_fit(retrying(inject=True))
         with tempfile.TemporaryDirectory(prefix="repro-bench-fault-") as ckpt:
             manager = CheckpointManager(ckpt, registry=registry)
             victim = make_streaming_model(args.model, scale, args.seed)
@@ -116,13 +114,13 @@ def run(args) -> dict:
             killed = False
             try:
                 trainer(victim, checkpoint=manager, resume=True).fit(
-                    KillSwitchSource(prefetched(inject=True), kill_after)
+                    KillSwitchSource(retrying(inject=True), kill_after)
                 )
             except ChaosKilledError:
                 killed = True
             victim_seconds = time.perf_counter() - started
             resumed_model, resume_seconds = timed_fit(
-                prefetched(inject=True), checkpoint=manager, resume=True
+                retrying(inject=True), checkpoint=manager, resume=True
             )
     finally:
         train.close()

@@ -1,4 +1,4 @@
-"""Data-layer decorators on a CSV source: spill cache + prefetch payoff.
+"""The spill-cache decorator on a CSV source: its payoff, measured.
 
 Exact FISTA makes one full pass over the shards *per iteration* (plus
 ~30 power-iteration passes for the step-size bound), so a CSV-backed
@@ -6,13 +6,14 @@ Exact FISTA makes one full pass over the shards *per iteration* (plus
 re-encodes the file dozens of times per fit.  The
 :class:`~repro.data.SpillCacheSource` decorator spills each shard's
 encoded ``(codes, labels)`` to disk on first production, turning every
-later pass into ``np.load`` calls; :class:`~repro.data.PrefetchingSource`
-additionally overlaps shard loading with the optimiser's arithmetic.
+later pass into ``np.load`` calls.
 
 This benchmark writes a synthetic star-schema CSV, fits the same L1
-logistic regression three ways — plain, spill-cached, spill+prefetch —
-verifies the coefficients are **bit-identical** across all three
-(decorators must not change results), and records wall-clock times.
+logistic regression twice — plain and spill-cached — verifies the
+coefficients are **bit-identical** (decorators must not change
+results), and records wall-clock times.  (The file keeps its name from
+when a background-prefetch leg rode along; that decorator lost to the
+serial path and was deleted.)
 The committed ``BENCH_prefetch_spill.json`` holds a reference run; the
 script exits non-zero if the spill-cache speedup falls below
 ``--min-speedup`` or any fit disagrees.
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.strategies import join_all_strategy
-from repro.data import PrefetchingSource, SpillCacheSource
+from repro.data import SpillCacheSource
 from repro.ml.linear import L1LogisticRegression
 from repro.obs import machine_info
 from repro.rng import ensure_rng
@@ -88,7 +89,7 @@ def timed_fit(source, max_iter: int):
 
 
 def run(args) -> dict:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-bench-prefetch-spill-"))
+    workdir = Path(tempfile.mkdtemp(prefix="repro-bench-spill-"))
     try:
         return _run_in(workdir, args)
     finally:
@@ -112,18 +113,9 @@ def _run_in(workdir: Path, args) -> dict:
             "misses": spilled_stream.stats.misses,
         }
 
-    with PrefetchingSource(
-        SpillCacheSource(make_stream(fact_path, dim_path, args.shard_rows)),
-        depth=args.prefetch_depth,
-    ) as stacked_stream:
-        stacked_model, stacked_seconds = timed_fit(stacked_stream, args.max_iter)
-
     identical = bool(
         np.array_equal(plain_model.coef_, spilled_model.coef_)
-        and np.array_equal(plain_model.coef_, stacked_model.coef_)
-        and plain_model.intercept_
-        == spilled_model.intercept_
-        == stacked_model.intercept_
+        and plain_model.intercept_ == spilled_model.intercept_
     )
     return {
         "settings": {
@@ -131,16 +123,11 @@ def _run_in(workdir: Path, args) -> dict:
             "shard_rows": args.shard_rows,
             "fk_domain": args.fk_domain,
             "max_iter": args.max_iter,
-            "prefetch_depth": args.prefetch_depth,
             "seed": args.seed,
         },
         "csv_plain_seconds": round(plain_seconds, 4),
         "spill_cache_seconds": round(spilled_seconds, 4),
-        "spill_plus_prefetch_seconds": round(stacked_seconds, 4),
         "spill_cache_speedup": round(plain_seconds / spilled_seconds, 2),
-        "spill_plus_prefetch_speedup": round(
-            plain_seconds / stacked_seconds, 2
-        ),
         "spill_stats": spill_stats,
         "coefficients_identical": identical,
     }
@@ -157,7 +144,6 @@ def main(argv=None) -> int:
         default=40,
         help="FISTA iterations == full passes over the CSV when uncached",
     )
-    parser.add_argument("--prefetch-depth", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--min-speedup",
@@ -175,7 +161,10 @@ def main(argv=None) -> int:
     if args.out:
         Path(args.out).write_text(rendered + "\n")
     if not report["coefficients_identical"]:
-        print("FAIL: decorated fits diverged from the plain fit", file=sys.stderr)
+        print(
+            "FAIL: the spill-cached fit diverged from the plain fit",
+            file=sys.stderr,
+        )
         return 2
     if report["spill_cache_speedup"] < args.min_speedup:
         print(

@@ -7,38 +7,34 @@ with K open-loop client threads (unbounded arrival rate by default — a
 saturation measurement; cap it with ``--arrival-rate``) against a
 NoJoin model and measures:
 
-- the **single-worker baseline** — every client calls ``predict_one``,
+- the **per-request baseline** — every client calls ``predict_one``,
   one request processed at a time, no cross-request coalescing: what a
   naive thread-safe server would sustain;
-- the **concurrent runtime** at each ``--workers`` entry — clients
-  ``submit`` onto the shared thread-safe micro-batcher, whose
-  background deadline flusher coalesces rows *across* client threads
-  and whose worker pool shards each flushed batch.
+- the **micro-batched runtime** — clients ``submit`` onto the shared
+  thread-safe micro-batcher, whose background deadline flusher
+  coalesces rows *across* client threads and predicts each flushed
+  batch in one vectorized call.
 
-Every concurrent run's predictions are compared row-for-row against a
+Both runs' predictions are compared row-for-row against a
 single-threaded reference of the same request stream; the script exits
 non-zero on any mismatch, and (outside ``--no-enforce``) when the
-headline speedup at the highest worker count falls below
-``--min-speedup``.
-
-On a single-core host (like the committed reference run — see
-``cpu_count`` in the JSON) the win comes entirely from cross-client
-batch coalescing; on multi-core hosts the worker pool adds parallelism
-across the GIL-releasing numpy predict kernels on top.
+micro-batched runtime's speedup over the baseline falls below
+``--min-speedup``.  The win is cross-client batch coalescing; the
+JSON's ``machine`` block records the host it was measured on.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving_concurrency.py
-    # CI smoke: small stream, correctness + >=2x enforcement
+    # CI smoke: small stream, correctness + a relaxed speedup floor
     PYTHONPATH=src python benchmarks/bench_serving_concurrency.py \
-        --rows 800 --out /tmp/bench_serving_concurrency_smoke.json
+        --rows 800 --min-speedup 1.2 \
+        --out /tmp/bench_serving_concurrency_smoke.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 
 from repro.datasets import generate_real_world
@@ -58,13 +54,11 @@ def run(args) -> dict:
         rows=args.rows,
         batch_size=args.batch_size,
         clients=args.clients,
-        worker_counts=tuple(args.workers),
         max_wait_s=args.max_wait_s,
         arrival_rate=args.arrival_rate,
         scale=scale,
     )
     print(report.render())
-    top = max(report.rates)
     return {
         "benchmark": "serving_concurrency",
         "dataset": report.dataset,
@@ -75,25 +69,17 @@ def run(args) -> dict:
         "clients": report.clients,
         "max_wait_s": report.max_wait_s,
         "arrival_rate": args.arrival_rate,
-        "cpu_count": report.cpu_count,
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "baseline_single_worker_rows_per_s": report.baseline_rows_per_s,
+        "baseline_rows_per_s": report.baseline_rows_per_s,
         # Per-stage latency breakdown (queue_wait/assemble/predict/
         # request, each with mean + p50/p95/p99 in ms) from the serving
         # runtime's latency histograms.
         "baseline_latency_ms": report.baseline_latency_ms,
-        "workers": {
-            str(workers): {
-                "rows_per_s": rate,
-                "mean_batch_rows": report.mean_batch_rows.get(workers),
-                "speedup_vs_single_worker_baseline": report.speedup(workers),
-                "latency_ms": report.latency_ms.get(workers, {}),
-            }
-            for workers, rate in sorted(report.rates.items())
+        "batched": {
+            "rows_per_s": report.batched_rows_per_s,
+            "mean_batch_rows": report.mean_batch_rows,
+            "latency_ms": report.latency_ms,
         },
-        "headline_speedup": report.speedup(top),
-        "headline_workers": top,
+        "headline_speedup": report.speedup,
         "predictions_identical_to_single_threaded": report.identical,
     }
 
@@ -105,7 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--rows", type=int, default=4000)
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--clients", type=int, default=8)
-    parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
     parser.add_argument("--max-wait-s", type=float, default=0.002)
     parser.add_argument(
         "--arrival-rate",
@@ -119,7 +104,7 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=2.0,
-        help="required headline speedup at the highest worker count",
+        help="required speedup of the micro-batched runtime over the baseline",
     )
     parser.add_argument(
         "--no-enforce",
@@ -149,9 +134,8 @@ def main(argv=None) -> int:
         return 1
     if not args.no_enforce and results["headline_speedup"] < args.min_speedup:
         print(
-            f"FAIL: headline speedup {results['headline_speedup']:.2f}x at "
-            f"{results['headline_workers']} workers is below the "
-            f"--min-speedup floor {args.min_speedup}x",
+            f"FAIL: headline speedup {results['headline_speedup']:.2f}x "
+            f"is below the --min-speedup floor {args.min_speedup}x",
             file=sys.stderr,
         )
         return 1

@@ -136,13 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of shards for --stream (alternative to --shard-rows)",
     )
     p_fit.add_argument(
-        "--prefetch",
-        type=int,
-        default=None,
-        metavar="DEPTH",
-        help="prefetch shards on a background thread (queue depth)",
-    )
-    p_fit.add_argument(
         "--spill-cache",
         nargs="?",
         const=True,
@@ -279,13 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
             "client threads for the concurrent-runtime benchmark; 0 "
             "(default) runs the single-threaded single-vs-batched report"
         ),
-    )
-    p_bench.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="worker-pool sizes to sweep (with --clients > 0)",
     )
     p_bench.add_argument(
         "--arrival-rate",
@@ -434,10 +420,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             error=True,
         )
         return 2
-    streaming_flags = (
+    layout_flags = (
         ("--shard-rows", args.shard_rows),
         ("--shards", args.shards),
-        ("--prefetch", args.prefetch),
+    )
+    streaming_flags = (
+        *layout_flags,
         ("--spill-cache", args.spill_cache),
         ("--checkpoint-dir", args.checkpoint_dir),
     )
@@ -445,7 +433,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         names = "/".join(name for name, _ in streaming_flags)
         emit(f"error: {names} require --stream", error=True)
         return 2
-    for name, value in streaming_flags[:3]:
+    for name, value in layout_flags:
         if value is not None and value < 1:
             emit(f"error: {name} must be >= 1, got {value}", error=True)
             return 2
@@ -491,7 +479,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         spec = SourceSpec(
             shard_rows=args.shard_rows,
             n_shards=n_shards,
-            prefetch=args.prefetch,
             spill_cache=args.spill_cache or False,
             engine=args.engine,
         )
@@ -653,13 +640,28 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serving import concurrent_serving_throughput, serving_throughput
 
-    if args.clients > 0 and args.arrival_rate is not None and args.arrival_rate <= 0:
+    if args.clients < 0:
         emit(
-            f"error: --arrival-rate must be positive, got "
-            f"{args.arrival_rate}",
+            f"error: --clients must be >= 0 (0 runs the single-threaded "
+            f"report), got {args.clients}",
             error=True,
         )
         return 2
+    if args.arrival_rate is not None:
+        if args.clients == 0:
+            emit(
+                "error: --arrival-rate paces the concurrent benchmark's "
+                "client threads; pass --clients N as well",
+                error=True,
+            )
+            return 2
+        if args.arrival_rate <= 0:
+            emit(
+                f"error: --arrival-rate must be positive, got "
+                f"{args.arrival_rate}",
+                error=True,
+            )
+            return 2
     if args.inject_faults is not None:
         if not 0 < args.inject_faults <= 1:
             emit(
@@ -726,7 +728,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 rows=args.rows,
                 batch_size=args.batch_size,
                 clients=args.clients,
-                worker_counts=tuple(args.workers),
                 arrival_rate=args.arrival_rate,
                 scale=scale,
                 engine=args.engine,

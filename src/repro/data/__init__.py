@@ -16,10 +16,11 @@ dense in-memory matrices in the experiment runner, per-shard joins in
   and streaming shards (:class:`repro.streaming.StreamingMatrices`
   encodes through it), with the thread-safe
   :class:`DimensionIndexCache` behind both.
-- :mod:`repro.data.prefetch` / :mod:`repro.data.spill` — composable
-  decorators: background prefetching behind a bounded queue, and a
-  disk-spilling LRU cache of encoded shards.  Decorators never change
-  shard bytes, only how they are produced.
+- :mod:`repro.data.spill` — :class:`SpillCacheSource`, a decorator
+  that keeps encoded shards in a disk-spilling LRU cache.  Decorators
+  never change shard bytes, only how they are produced; shards are
+  always produced in the calling thread.  Per-shard retry is the
+  decorator :class:`repro.resilience.RetryingSource`.
 - :mod:`repro.data.spec` — :class:`SourceSpec`, the declarative recipe
   ``run_experiment(source=...)`` and the CLI build sources from.
 
@@ -36,7 +37,6 @@ from repro.data.source import (
     SourceDecorator,
     source_accuracy,
 )
-from repro.data.prefetch import PrefetchingSource
 from repro.data.spill import SpillCacheSource, SpillStats
 from repro.data.encoder import CacheStats, DimensionIndexCache, ShardEncoder
 from repro.data.spec import SPLITS, SourceSpec
@@ -46,7 +46,6 @@ __all__ = [
     "DimensionIndexCache",
     "FeatureSource",
     "MatrixSource",
-    "PrefetchingSource",
     "SPLITS",
     "ShardEncoder",
     "SourceDecorator",

@@ -15,7 +15,7 @@ plus the schema/domain metadata needed to size model state up front.
 - **Random access**: ``shard(i)`` materialises shard ``i``'s
   ``(CategoricalMatrix, labels)`` pair; shards are deterministic and
   re-readable, which is what lets exact FISTA make one pass per
-  iteration and lets decorators cache or prefetch without changing
+  iteration and lets decorators cache or retry reads without changing
   results.
 - **Iteration**: ``iter_shards(order)`` yields ``(index, X, y)``
   triples (optionally reordered), ``__iter__`` yields ``(X, y)`` pairs
@@ -28,8 +28,9 @@ optionally sliced into bounded shards),
 :class:`~repro.streaming.matrices.StreamingMatrices` (per-shard KFK
 join + encoding over any :class:`~repro.streaming.shards.ShardedDataset`
 — splits, full tables, scenario populations, chunked CSVs).  Composable
-decorators: :class:`~repro.data.prefetch.PrefetchingSource` and
-:class:`~repro.data.spill.SpillCacheSource`.
+decorators: :class:`~repro.data.spill.SpillCacheSource` and
+:class:`~repro.resilience.RetryingSource`.  Every source produces its
+shards in the calling thread.
 
 This module deliberately imports nothing beyond numpy so that any layer
 of the package (including :mod:`repro.ml` itself) can depend on it
@@ -139,8 +140,8 @@ class FeatureSource:
 class SourceDecorator(FeatureSource):
     """A :class:`FeatureSource` wrapping another, delegating metadata.
 
-    Decorators change *how* shards are produced (prefetched in the
-    background, cached on disk) but never *what* they contain: the
+    Decorators change *how* shards are produced (cached on disk,
+    retried after a transient failure) but never *what* they contain: the
     contract — enforced by ``tests/test_data_source.py`` — is that a
     decorated source yields byte-identical shards in the same order as
     the source it wraps.

@@ -6,7 +6,7 @@ split's features be one resident matrix or a stream of bounded shards,
 and which decorators wrap the result?  :class:`SourceSpec` captures
 that choice as data — ``SourceSpec()`` is the in-memory path,
 ``SourceSpec(shard_rows=...)`` (or ``n_shards=...``) the out-of-core
-one, ``prefetch``/``spill_cache`` layer the decorators — so
+one, ``spill_cache`` layers the disk cache on top — so
 ``run_experiment(source=spec)`` replaces the two hand-rolled runner
 functions PR 4 left behind.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.data.prefetch import PrefetchingSource
 from repro.data.source import FeatureSource, MatrixSource
 from repro.data.spill import SpillCacheSource
 from repro.obs import MetricsRegistry
@@ -36,14 +35,10 @@ class SourceSpec:
         Leaving both unset selects the in-memory path: the strategy's
         matrices are materialised once and each split is a single
         resident shard.
-    prefetch:
-        When set, wrap each source in a :class:`PrefetchingSource` with
-        this queue depth.
     spill_cache:
         ``False`` (default) for no cache, ``True`` for a
         :class:`SpillCacheSource` in a private temporary directory, or
-        an explicit directory path.  Spill before prefetch, so the
-        background thread reads through the cache.
+        an explicit directory path.
     engine:
         Execution engine for the streams and models this spec feeds.
         ``"factorized"`` makes the streaming path assemble
@@ -55,7 +50,6 @@ class SourceSpec:
 
     shard_rows: int | None = None
     n_shards: int | None = None
-    prefetch: int | None = None
     spill_cache: bool | str | Path = False
     engine: str = "implicit"
 
@@ -73,7 +67,7 @@ class SourceSpec:
                 "spill_cache stores gathered code tables and cannot hold "
                 "factorized shards; drop spill_cache or use engine='implicit'"
             )
-        for name in ("shard_rows", "n_shards", "prefetch"):
+        for name in ("shard_rows", "n_shards"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -152,35 +146,27 @@ class SourceSpec:
         label: str | None = None,
         registry: MetricsRegistry | None = None,
     ) -> FeatureSource:
-        """Wrap a source with this spec's decorators (spill, then prefetch).
+        """Wrap a source with this spec's spill cache, when it has one.
 
         ``label`` namespaces an explicit ``spill_cache`` directory (one
         subdirectory per split), so several sources built from one spec
         never collide on shard file names.
         """
-        if self.spill_cache:
-            if self.spill_cache is True:
-                directory = None
-            else:
-                directory = Path(self.spill_cache)
-                if label is not None:
-                    directory = directory / label
-            source = SpillCacheSource(
-                source, directory=directory, registry=registry
-            )
-        if self.prefetch is not None:
-            source = PrefetchingSource(
-                source, depth=self.prefetch, registry=registry
-            )
-        return source
+        if not self.spill_cache:
+            return source
+        if self.spill_cache is True:
+            directory = None
+        else:
+            directory = Path(self.spill_cache)
+            if label is not None:
+                directory = directory / label
+        return SpillCacheSource(source, directory=directory, registry=registry)
 
     def describe(self) -> dict:
         """The spec as flat result metadata (for ``RunResult.best_params``)."""
         described: dict = {"streaming": self.streaming}
         if self.engine != "implicit":
             described["engine"] = self.engine
-        if self.prefetch is not None:
-            described["prefetch"] = self.prefetch
         if self.spill_cache:
             described["spill_cache"] = (
                 True if self.spill_cache is True else str(self.spill_cache)

@@ -101,12 +101,10 @@ class SpillCacheSource(SourceDecorator):
     registry:
         Metrics registry backing the ``data.spill.*`` metrics.
         ``None`` keeps a private one (exact per-instance stats).
-    retry_policy:
-        Optional :class:`~repro.resilience.RetryPolicy` (or anything
-        with its ``call`` shape) applied to the wrapped source's
-        ``shard`` reads, so a transient producer failure costs a
-        bounded backoff instead of the pass.  Duck-typed to keep
-        ``repro.data`` import-independent of ``repro.resilience``.
+
+    To retry transient reads of the wrapped source, wrap it first:
+    ``SpillCacheSource(RetryingSource(source, policy))`` (see
+    :class:`~repro.resilience.RetryingSource`).
     """
 
     def __init__(
@@ -115,7 +113,6 @@ class SpillCacheSource(SourceDecorator):
         directory: str | Path | None = None,
         max_bytes: int | None = None,
         registry: MetricsRegistry | None = None,
-        retry_policy=None,
     ):
         super().__init__(source)
         if max_bytes is not None and max_bytes < 1:
@@ -133,7 +130,6 @@ class SpillCacheSource(SourceDecorator):
         self._evictions = self.metrics.counter("data.spill.evictions")
         self._spilled_bytes = self.metrics.gauge("data.spill.bytes")
         self._corruptions = self.metrics.counter("data.spill.corruptions")
-        self.retry_policy = retry_policy
         self._entries: OrderedDict[int, int] = OrderedDict()  # index -> bytes
         self._closed = False
 
@@ -180,19 +176,9 @@ class SpillCacheSource(SourceDecorator):
                 self._hits.inc()
                 return loaded
         self._misses.inc()
-        X, y = self._produce(index)
+        X, y = self.source.shard(index)
         self._store(index, X, y)
         return X, y
-
-    def _produce(self, index: int):
-        """Read a shard from the wrapped source, retried when configured."""
-        if self.retry_policy is None:
-            return self.source.shard(index)
-        return self.retry_policy.call(
-            lambda: self.source.shard(index),
-            registry=self.metrics,
-            describe=f"spill-cache source read of shard {index}",
-        )
 
     def _drop(self, index: int) -> None:
         """Remove one entry (and its file) from the cache."""

@@ -9,8 +9,8 @@ instead of scattered try/except:
   failure mode reproduces exactly in tests, benchmarks and chaos runs.
 - :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: bounded
   attempts, seeded exponential-backoff jitter, a retryable-exception
-  allowlist; pluggable into :class:`~repro.data.PrefetchingSource` and
-  :class:`~repro.data.SpillCacheSource`.
+  allowlist; :class:`RetryingSource` applies one to every shard read
+  of a :class:`~repro.data.FeatureSource`.
 - :mod:`~repro.resilience.checkpoint` — :class:`CheckpointManager`:
   atomic, checksummed training checkpoints behind
   ``StreamingTrainer(checkpoint=..., resume=True)``, with resumed runs
@@ -41,7 +41,11 @@ from repro.resilience.faults import (
     PoisonedRowError,
     corrupt_spill_entries,
 )
-from repro.resilience.retry import DEFAULT_RETRYABLE, RetryPolicy
+from repro.resilience.retry import (
+    DEFAULT_RETRYABLE,
+    RetryingSource,
+    RetryPolicy,
+)
 
 __all__ = [
     "CORRUPT_SPILL",
@@ -56,6 +60,7 @@ __all__ = [
     "FaultSpec",
     "PoisonedRowError",
     "RetryPolicy",
+    "RetryingSource",
     "backoff",
     "corrupt_spill_entries",
 ]

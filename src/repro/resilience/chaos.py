@@ -8,7 +8,7 @@ runs them together and *checks the answers*:
 
 - **Training leg** (:func:`chaos_training_run`) — fits a clean
   baseline, then the same model under a seeded transient-fault
-  schedule with retrying prefetch, then a third run that is killed
+  schedule with per-shard retries, then a third run that is killed
   after ``kill_after`` shard steps and resumed from its checkpoint.
   All three must produce bit-identical parameter arrays; a chaos run
   that merely *finishes* proves nothing.
@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.strategies import no_join_strategy
-from repro.data.prefetch import PrefetchingSource
 from repro.data.source import FeatureSource, SourceDecorator
 from repro.data.spec import SourceSpec
 from repro.errors import (
@@ -51,7 +50,7 @@ from repro.resilience.faults import (
     FaultSchedule,
     PoisonedRowError,
 )
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryingSource, RetryPolicy
 
 #: Streaming models whose training loop can checkpoint (epoch-looped
 #: paths; count/histogram ``fit_stream`` models cannot be cut mid-pass).
@@ -71,12 +70,10 @@ class ChaosKilledError(ReproError):
 class KillSwitchSource(SourceDecorator):
     """Kill the pass after ``kill_after`` shards have been delivered.
 
-    Wraps the *outermost* source (after prefetch), and overrides
-    :meth:`iter_shards` around the wrapped iterator rather than relying
-    on the base class's per-index loop — otherwise a wrapped
-    :class:`~repro.data.PrefetchingSource`'s own background pass would
-    be silently bypassed.  The counter spans epochs: "delivered" means
-    shards the *trainer consumed*, which is exactly the cursor a
+    Wraps the *outermost* source and counts around the wrapped
+    :meth:`iter_shards`, so a shard is counted once it has been
+    produced, retries included.  The counter spans epochs: "delivered"
+    means shards the *trainer consumed*, which is exactly the cursor a
     checkpoint records.
     """
 
@@ -213,13 +210,10 @@ def chaos_training_run(
         schedule = FaultSchedule.seeded(
             source.n_shards, rate=fault_rate, seed=seed
         )
-        injected = FaultInjectingSource(source, schedule, registry=registry)
-        return PrefetchingSource(
-            injected,
+        return RetryingSource(
+            FaultInjectingSource(source, schedule, registry=registry),
+            RetryPolicy(max_attempts=3, base_delay_s=0.0005, seed=seed),
             registry=registry,
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0005, seed=seed
-            ),
         )
 
     try:

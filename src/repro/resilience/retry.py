@@ -17,9 +17,13 @@ should cost a bounded delay, not a multi-hour training run.
   ``KeyboardInterrupt``) propagates on the first raise.
 
 The policy object is frozen and stateless, so one instance can be
-shared by any number of threads (the prefetch workers do).  Metrics are
-the caller's: :meth:`call` accepts a registry and accounts
-``resilience.retries`` / ``resilience.giveups`` there.
+shared by any number of sources or threads.  Metrics are the caller's:
+:meth:`call` accepts a registry and accounts ``resilience.retries`` /
+``resilience.giveups`` there.
+
+:class:`RetryingSource` applies a policy to every shard read of a
+:class:`~repro.data.FeatureSource`, in the calling thread: a transient
+producer failure costs one shard's backoff and re-read, not the pass.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.data.source import FeatureSource, SourceDecorator
+from repro.obs import MetricsRegistry
 from repro.resilience import backoff
 from repro.rng import ensure_rng
 
@@ -167,3 +173,44 @@ class RetryPolicy:
                     registry.counter("resilience.retries").inc()
                 sleep(delays[attempt - 1])
         raise AssertionError("unreachable: the loop returns or raises")
+
+
+class RetryingSource(SourceDecorator):
+    """Read each shard of the wrapped source under a :class:`RetryPolicy`.
+
+    ``shard(i)`` is ``policy.call(lambda: source.shard(i), ...)``, and
+    iteration reads shard by shard through it, so one failed read
+    retries alone: shards already delivered are not re-produced and
+    any explicit order is kept.  Retried shards are the wrapped
+    source's own bytes, so a pass that survives its faults is
+    byte-identical to an unfaulted one.  Non-retryable errors propagate
+    on the first raise with their original traceback; exhausted retries
+    re-raise the last failure with a ``read of shard N`` note.
+
+    Parameters
+    ----------
+    source:
+        Any :class:`~repro.data.FeatureSource`.
+    policy:
+        The :class:`RetryPolicy` applied to every shard read.
+    registry:
+        Metrics registry for ``resilience.retries`` /
+        ``resilience.giveups``; ``None`` keeps a private one.
+    """
+
+    def __init__(
+        self,
+        source: FeatureSource,
+        policy: RetryPolicy,
+        registry: MetricsRegistry | None = None,
+    ):
+        super().__init__(source)
+        self.policy = policy
+        self.metrics = registry if registry is not None else MetricsRegistry()
+
+    def shard(self, index: int):
+        return self.policy.call(
+            lambda: self.source.shard(index),
+            registry=self.metrics,
+            describe=f"read of shard {index}",
+        )

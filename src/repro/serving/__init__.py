@@ -13,8 +13,8 @@ batches.
 The runtime is thread-safe: concurrent request threads share one
 server, a background deadline flusher bounds queueing latency, the
 dimension-index cache builds each cold entry exactly once under racing
-access, and ``PredictionServer(..., workers=N)`` shards flushed batches
-across a predict worker pool without changing any per-row result.
+access, and every batch is predicted in one vectorized call in the
+thread that runs it, so concurrent answers match single-threaded ones.
 
 Typical flow::
 

@@ -13,10 +13,9 @@ label-valued request stream through two paths:
 
 :func:`concurrent_serving_throughput` adds the multi-threaded
 counterpart: an open-loop load generator with K client threads drives
-the thread-safe serving runtime, comparing the per-request single-worker
-baseline against the micro-batched worker-pool configurations and
-verifying the concurrent predictions are identical to a single-threaded
-run of the same stream.
+the thread-safe serving runtime, comparing the per-request baseline
+against the micro-batched runtime and verifying the concurrent
+predictions are identical to a single-threaded run of the same stream.
 
 Used by ``repro serve-bench``, ``benchmarks/bench_serving_throughput.py``
 and ``benchmarks/bench_serving_concurrency.py``.
@@ -212,15 +211,15 @@ def serving_throughput(
 # ----------------------------------------------------------------------
 @dataclass
 class ConcurrencyReport:
-    """Throughput of the concurrent runtime per worker count.
+    """Throughput of the concurrent runtime against a per-request baseline.
 
-    ``baseline_rows_per_s`` is the single-worker baseline: the same K
-    client threads, but each request served one at a time through the
-    per-request path (no cross-request batching, one predict thread) —
-    the throughput a naive thread-safe server would sustain.  ``rates``
-    maps each worker-pool size to the micro-batched runtime's rate.
-    ``identical`` records whether every concurrent run's predictions
-    matched the single-threaded reference row for row.
+    ``baseline_rows_per_s`` is the per-request baseline: the same K
+    client threads, but each request served on its own through
+    ``predict_one`` (no cross-request batching) — the throughput a
+    naive thread-safe server would sustain.  ``batched_rows_per_s`` is
+    the micro-batched runtime's rate and ``mean_batch_rows`` its mean
+    flushed batch.  ``identical`` records whether both concurrent runs'
+    predictions matched the single-threaded reference row for row.
     """
 
     dataset: str
@@ -232,22 +231,22 @@ class ConcurrencyReport:
     max_wait_s: float
     cpu_count: int
     baseline_rows_per_s: float = 0.0
-    rates: dict[int, float] = field(default_factory=dict)
-    mean_batch_rows: dict[int, float] = field(default_factory=dict)
+    batched_rows_per_s: float = 0.0
+    mean_batch_rows: float = 0.0
     identical: bool = True
-    #: Per-stage latency breakdowns (ms, with p50/p95/p99): the
-    #: baseline server's and one per worker-pool configuration.
+    #: Per-stage latency breakdowns (ms, with p50/p95/p99) of the
+    #: baseline server and of the micro-batched server.
     baseline_latency_ms: dict = field(default_factory=dict)
-    latency_ms: dict[int, dict] = field(default_factory=dict)
+    latency_ms: dict = field(default_factory=dict)
     #: Serving engine the servers ran (``"implicit"`` or ``"factorized"``).
     engine: str = "implicit"
 
-    def speedup(self, workers: int) -> float | None:
-        """Concurrent-runtime throughput over the single-worker baseline."""
-        rate = self.rates.get(workers)
-        if rate is None or not self.baseline_rows_per_s:
+    @property
+    def speedup(self) -> float | None:
+        """Micro-batched throughput over the per-request baseline."""
+        if not self.baseline_rows_per_s:
             return None
-        return rate / self.baseline_rows_per_s
+        return self.batched_rows_per_s / self.baseline_rows_per_s
 
     def render(self) -> str:
         """Human-readable table of the measured rates."""
@@ -260,24 +259,18 @@ class ConcurrencyReport:
             f"({self.strategy}), {self.rows} requests, "
             f"{self.clients} client threads, micro-batch size "
             f"{self.batch_size}, {self.cpu_count} CPU(s)",
-            f"{'configuration':24s} {'rows/s':>12s} {'mean batch':>11s} "
+            f"{'configuration':14s} {'rows/s':>12s} {'mean batch':>11s} "
             f"{'speedup':>8s} {'p50 ms':>8s} {'p95 ms':>8s} {'p99 ms':>8s}",
-            f"{'per-request, 1 worker':24s} {self.baseline_rows_per_s:12.0f} "
+            f"{'per-request':14s} {self.baseline_rows_per_s:12.0f} "
             f"{1.0:11.1f} {'1.0x':>8s}"
             + _render_request_latency(self.baseline_latency_ms),
-        ]
-        for workers in sorted(self.rates):
-            lines.append(
-                f"{f'batched, {workers} worker(s)':24s} "
-                f"{self.rates[workers]:12.0f} "
-                f"{self.mean_batch_rows.get(workers, 0.0):11.1f} "
-                f"{f'{self.speedup(workers):.1f}x':>8s}"
-                + _render_request_latency(self.latency_ms.get(workers, {}))
-            )
-        lines.append(
+            f"{'micro-batched':14s} {self.batched_rows_per_s:12.0f} "
+            f"{self.mean_batch_rows:11.1f} "
+            f"{f'{self.speedup or 0.0:.1f}x':>8s}"
+            + _render_request_latency(self.latency_ms),
             "concurrent predictions identical to single-threaded: "
-            f"{self.identical}"
-        )
+            f"{self.identical}",
+        ]
         return "\n".join(lines)
 
 
@@ -370,7 +363,6 @@ def concurrent_serving_throughput(
     rows: int = 4000,
     batch_size: int = 64,
     clients: int = 8,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
     max_wait_s: float = 0.002,
     arrival_rate: float | None = None,
     scale=None,
@@ -383,15 +375,14 @@ def concurrent_serving_throughput(
     computes a single-threaded reference prediction for the whole
     request stream, then drives the same stream concurrently through
 
-    - the single-worker baseline: ``predict_one`` per request from
+    - the per-request baseline: ``predict_one`` per request from
       every client thread (no cross-request coalescing), and
-    - the micro-batched runtime at each ``worker_counts`` entry:
-      clients ``submit`` onto the shared thread-safe batcher, whose
-      background deadline flusher and worker pool coalesce and shard
+    - the micro-batched runtime: clients ``submit`` onto the shared
+      thread-safe batcher, whose background deadline flusher coalesces
       the cross-client batches.
 
-    Every concurrent run's predictions are compared against the
-    reference; ``report.identical`` is the conjunction.
+    Both runs' predictions are compared against the reference;
+    ``report.identical`` is the conjunction.
     """
     from repro.experiments.runner import fit_pipeline
 
@@ -438,19 +429,14 @@ def concurrent_serving_throughput(
     report.baseline_latency_ms = baseline.stats().latency_ms
     report.identical &= results == reference
 
-    for workers in worker_counts:
-        with fresh_server(workers=workers, max_wait_s=max_wait_s) as server:
-            server.predict_one(requests[0])  # warm caches off the clock
-            seconds, results = _drive_clients(
-                server,
-                requests,
-                clients,
-                batched=True,
-                arrival_rate=arrival_rate,
-            )
-            stats = server.stats()
-            report.rates[workers] = rows / seconds
-            report.mean_batch_rows[workers] = stats.mean_batch_rows
-            report.latency_ms[workers] = stats.latency_ms
-            report.identical &= results == reference
+    with fresh_server(max_wait_s=max_wait_s) as server:
+        server.predict_one(requests[0])  # warm caches off the clock
+        seconds, results = _drive_clients(
+            server, requests, clients, batched=True, arrival_rate=arrival_rate
+        )
+        stats = server.stats()
+    report.batched_rows_per_s = rows / seconds
+    report.mean_batch_rows = stats.mean_batch_rows
+    report.latency_ms = stats.latency_ms
+    report.identical &= results == reference
     return report

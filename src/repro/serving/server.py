@@ -21,18 +21,16 @@ accounting are guarded by a lock, the micro-batcher is the thread-safe
 :class:`~repro.serving.batcher.MicroBatcher` (with a background
 deadline flusher unless ``background_flush=False``), and the dimension
 index cache builds each cold entry exactly once however many threads
-race on it.  With ``workers > 1`` every flushed micro-batch is sharded
-into contiguous chunks predicted concurrently on a worker pool; the
-predict kernels are read-only over the fitted model, and chunking never
-changes per-row results, so concurrent predictions are identical to
-single-threaded ones.
+race on it.  Every batch is predicted in one vectorized call in the
+thread that runs it (the caller, or whichever thread triggers a
+micro-batch flush); the predict kernels are read-only over the fitted
+model, so concurrent predictions are identical to single-threaded ones.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +76,6 @@ class ServerStats:
     cache_hit_rate: float
     failed_flushes: int = 0
     rows_failed: int = 0
-    workers: int = 1
     queue_wait_seconds: float = 0.0
     latency_ms: dict = field(default_factory=dict)
     shed_requests: int = 0
@@ -87,21 +84,13 @@ class ServerStats:
 
     @property
     def mean_latency_ms(self) -> float:
-        """Mean end-to-end latency per predict call, in ms.
+        """Mean end-to-end latency per request, in ms.
 
-        Includes the time micro-batched rows spent queued before their
-        flush — an earlier version summed only assemble + predict time,
-        silently under-reporting the latency a ``submit()`` caller
-        actually observed.
+        The ``request`` stage's mean: one observation per direct call
+        and one per micro-batched row, whose latency includes the time
+        it spent queued before its flush.  ``0.0`` before any request.
         """
-        if not self.predict_calls:
-            return 0.0
-        total = (
-            self.assemble_seconds
-            + self.predict_seconds
-            + self.queue_wait_seconds
-        )
-        return 1000.0 * total / self.predict_calls
+        return float(self.latency_ms.get("request", {}).get("mean", 0.0))
 
     def as_dict(self) -> dict:
         """JSON-serializable snapshot (fields plus derived means)."""
@@ -123,7 +112,6 @@ class ServerStats:
             "shed_requests": self.shed_requests,
             "deadline_expired": self.deadline_expired,
             "rows_quarantined": self.rows_quarantined,
-            "workers": self.workers,
             "latency_ms": {
                 stage: dict(values)
                 for stage, values in self.latency_ms.items()
@@ -137,7 +125,7 @@ class ServerStats:
             f"mean_latency={self.mean_latency_ms:.3f}ms "
             f"mean_batch={self.mean_batch_rows:.1f} "
             f"cache_hit_rate={self.cache_hit_rate:.1%} "
-            f"workers={self.workers} failed_flushes={self.failed_flushes}"
+            f"failed_flushes={self.failed_flushes}"
         )
 
 
@@ -158,13 +146,6 @@ class PredictionServer:
         Dimension-index cache capacity of the feature service.
     max_batch_size, max_wait_s:
         Micro-batcher configuration for the ``submit`` path.
-    workers:
-        Predict threads per flushed micro-batch.  ``1`` (the default)
-        predicts in the flushing thread; ``N > 1`` shards each batch
-        into up to ``N`` contiguous chunks run on a thread pool.  Size
-        the pool to the core count — the assembly/predict kernels are
-        numpy-heavy and release the GIL in their inner loops, so extra
-        workers beyond the cores only add scheduling overhead.
     background_flush:
         Passed to the :class:`MicroBatcher`; set false for
         deterministic tests that control flushing explicitly.
@@ -210,7 +191,6 @@ class PredictionServer:
         max_batch_size: int = 64,
         max_wait_s: float | None = 0.005,
         validate_fingerprint: bool = True,
-        workers: int = 1,
         background_flush: bool = True,
         telemetry: bool = True,
         max_queue_rows: int | None = None,
@@ -218,8 +198,6 @@ class PredictionServer:
         default_deadline_s: float | None = None,
         engine: str = "implicit",
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if engine not in ("implicit", "factorized"):
             raise ValueError(
                 f"serving engine must be 'implicit' or 'factorized', "
@@ -229,7 +207,6 @@ class PredictionServer:
             artifact.check_schema(schema)
         self.artifact = artifact
         self.schema = schema
-        self.workers = workers
         self.metrics = MetricsRegistry(enabled=telemetry)
         self.features = FeatureService(
             schema,
@@ -252,13 +229,6 @@ class PredictionServer:
             self._scorer = FactorizedScorer(artifact, self.features)
         else:
             self._scorer = None
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="predict-worker"
-            )
-            if workers > 1
-            else None
-        )
         self.default_deadline_s = default_deadline_s
         self.batcher = MicroBatcher(
             self._predict_encoded,
@@ -325,7 +295,7 @@ class PredictionServer:
 
         Safe to call from any number of request threads; encoding runs
         in the calling thread, the batch prediction wherever the flush
-        trigger fires (submitter, deadline flusher, or worker pool).
+        trigger fires (submitter or deadline flusher).
         The row's end-to-end submit → delivery latency (queue wait
         included) lands in the shared ``serving.latency.request_s``
         histogram when its batch runs.  Submissions are counted by the
@@ -356,10 +326,8 @@ class PredictionServer:
         return self.batcher.poll()
 
     def close(self) -> None:
-        """Drain the batcher, stop its flusher, and shut the pool down."""
+        """Drain the batcher and stop its flusher."""
         self.batcher.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "PredictionServer":
         return self
@@ -370,25 +338,26 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _merge(
+    def _predict_encoded(
         self, payloads: Sequence[Mapping[str, np.ndarray]]
-    ) -> Mapping[str, np.ndarray]:
-        if len(payloads) == 1:
-            return payloads[0]
-        return {
-            column: np.concatenate(
-                [np.asarray(p[column]) for p in payloads]
-            )
-            for column in self.features.required_columns
-        }
+    ) -> list:
+        """Assemble and predict a batch of encoded column-dicts.
 
-    def _predict_merged(self, merged: Mapping[str, np.ndarray]) -> list:
-        """Assemble and predict one merged column-dict chunk.
-
-        Under ``engine="factorized"`` the batch is assembled without
-        the dimension gather and scored through the load-time
+        The payloads are concatenated into one matrix and predicted in
+        a single vectorized call, in submission order.  Under
+        ``engine="factorized"`` the batch is assembled without the
+        dimension gather and scored through the load-time
         :class:`~repro.serving.factorized.FactorizedScorer`.
         """
+        if len(payloads) == 1:
+            merged = payloads[0]
+        else:
+            merged = {
+                column: np.concatenate(
+                    [np.asarray(p[column]) for p in payloads]
+                )
+                for column in self.features.required_columns
+            }
         started = time.perf_counter()
         if self._scorer is not None:
             X = self.features.assemble_factorized(merged)
@@ -403,34 +372,6 @@ class PredictionServer:
         self._predict_seconds.observe(finished - assembled)
         self._rows.inc(X.n_rows)
         return self.artifact.decode_labels(codes)
-
-    def _predict_encoded(
-        self, payloads: Sequence[Mapping[str, np.ndarray]]
-    ) -> list:
-        """Assemble and predict a batch of encoded column-dicts.
-
-        With one worker the payloads are concatenated into one matrix
-        and predicted in a single vectorized call.  With ``workers > 1``
-        the payload list is split into contiguous chunks predicted
-        concurrently; per-row results are independent of chunk
-        boundaries, so the output is identical either way, in
-        submission order.
-        """
-        n_chunks = 1 if self._pool is None else min(self.workers, len(payloads))
-        if n_chunks <= 1:
-            return self._predict_merged(self._merge(payloads))
-        bounds = np.linspace(0, len(payloads), n_chunks + 1, dtype=int)
-        futures = [
-            self._pool.submit(
-                self._predict_merged, self._merge(payloads[lo:hi])
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        results: list = []
-        for future in futures:
-            results.extend(future.result())
-        return results
 
     # ------------------------------------------------------------------
     # Introspection
@@ -476,7 +417,6 @@ class PredictionServer:
             shed_requests=batcher.shed_requests,
             deadline_expired=batcher.deadline_expired,
             rows_quarantined=batcher.rows_quarantined,
-            workers=self.workers,
             queue_wait_seconds=self.metrics.histogram(
                 "serving.latency.queue_wait_s"
             ).sum,

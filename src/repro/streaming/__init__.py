@@ -24,9 +24,10 @@ shard, differing only in floating-point association.
 - :mod:`repro.streaming.benchmark` — the peak-memory scaling harness
   behind ``benchmarks/bench_streaming_scale.py``.
 
-Prefetching and disk-spill caching compose on top as
-:class:`repro.data.PrefetchingSource` / :class:`repro.data.SpillCacheSource`
-decorators around any source, including these.
+Disk-spill caching and per-shard retry compose on top as the
+:class:`repro.data.SpillCacheSource` / :class:`repro.resilience.RetryingSource`
+decorators around any source, including these.  Shards are produced
+in the calling thread.
 """
 
 from repro.streaming.benchmark import (

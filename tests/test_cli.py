@@ -48,9 +48,8 @@ class TestParser:
     def test_fit_parses_decorator_flags(self):
         args = build_parser().parse_args(
             ["fit", "yelp", "lr_l1", "--stream", "--shard-rows", "50",
-             "--prefetch", "2", "--spill-cache"]
+             "--spill-cache"]
         )
-        assert args.prefetch == 2
         assert args.spill_cache is True
         args = build_parser().parse_args(
             ["fit", "yelp", "lr_l1", "--stream", "--spill-cache", "/tmp/c"]
@@ -151,22 +150,41 @@ class TestCommands:
         assert "test=" not in captured.out
 
     def test_fit_decorator_flags_require_stream(self, capsys):
-        code = main(["fit", "yelp", "lr_l1", "--prefetch", "2",
+        code = main(["fit", "yelp", "lr_l1", "--spill-cache",
                      "--scale", "smoke"])
         err = capsys.readouterr().err
         assert code == 2
         assert "--stream" in err
 
-    def test_fit_streamed_with_prefetch_and_spill_matches_plain(self, capsys):
+    def test_fit_streamed_with_spill_matches_plain(self, capsys):
         code = main(["fit", "yelp", "nb", "--stream", "--shards", "3",
                      "--scale", "smoke"])
         plain = capsys.readouterr().out
         assert code == 0
         code = main(["fit", "yelp", "nb", "--stream", "--shards", "3",
-                     "--prefetch", "2", "--spill-cache", "--scale", "smoke"])
+                     "--spill-cache", "--scale", "smoke"])
         decorated = capsys.readouterr().out
         assert code == 0
         # Decorators change how shards are produced, never the result.
+        expected = plain.strip().splitlines()[-1].split(" (")[0]
+        assert expected in decorated
+
+    def test_fit_streamed_with_spill_dir_matches_plain(self, capsys, tmp_path):
+        """Regression: ``--spill-cache DIR`` is a string, not a count.
+
+        Only the shard-layout flags take the ``>= 1`` check; a spill
+        directory must reach the fit, and the fit must match the plain
+        one.
+        """
+        code = main(["fit", "yelp", "nb", "--stream", "--shards", "3",
+                     "--scale", "smoke"])
+        plain = capsys.readouterr().out
+        assert code == 0
+        code = main(["fit", "yelp", "nb", "--stream", "--shards", "3",
+                     "--spill-cache", str(tmp_path / "cache"),
+                     "--scale", "smoke"])
+        decorated = capsys.readouterr().out
+        assert code == 0
         expected = plain.strip().splitlines()[-1].split(" (")[0]
         assert expected in decorated
 
@@ -228,6 +246,35 @@ class TestCommands:
         )
         assert code == 0
         assert path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--arrival-rate", "100"], "--clients"),
+            (["--clients", "-2", "--arrival-rate", "-5"], "--clients"),
+            (["--clients", "2", "--arrival-rate", "-5"], "positive"),
+        ],
+    )
+    def test_serve_bench_rejects_ignored_or_invalid_flags(
+        self, capsys, monkeypatch, flags, message
+    ):
+        """Flags the chosen report would ignore are usage errors.
+
+        Each exits 2 with one line on stderr before any dataset is
+        generated.
+        """
+        import repro.cli
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("a usage error generated a dataset")
+
+        monkeypatch.setattr(repro.cli, "generate_real_world", no_dataset)
+        code = main(["serve-bench", "yelp", "--scale", "smoke", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert line.startswith("error:") and message in line
 
     def test_serve_bench_prints_ratio(self, capsys):
         code = main(

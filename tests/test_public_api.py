@@ -29,6 +29,8 @@ PACKAGES = [
     "repro.streaming",
     "repro.serving",
     "repro.analysis",
+    "repro.resilience",
+    "repro.obs",
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import no_join_strategy
-from repro.data import MatrixSource, PrefetchingSource, SpillCacheSource
+from repro.data import MatrixSource, SpillCacheSource
 from repro.datasets import generate_real_world
 from repro.errors import ReproError, TransientShardError
 from repro.obs import MetricsRegistry
@@ -17,6 +17,7 @@ from repro.resilience import (
     FaultSchedule,
     FaultSpec,
     PoisonedRowError,
+    RetryingSource,
     RetryPolicy,
     corrupt_spill_entries,
 )
@@ -106,16 +107,16 @@ class TestFaultInjectingSource:
         assert np.array_equal(y, inner.shard(0)[1])
         assert registry.get("resilience.faults_injected.slow").value == 1
 
-    def test_retrying_prefetch_survives_schedule_bit_identically(
+    def test_retrying_source_survives_schedule_bit_identically(
         self, train_matrix
     ):
         inner = MatrixSource(*train_matrix, shard_rows=11)
         schedule = FaultSchedule.seeded(inner.n_shards, rate=0.5, seed=3)
         registry = MetricsRegistry()
-        source = PrefetchingSource(
+        source = RetryingSource(
             FaultInjectingSource(inner, schedule, registry=registry),
+            fast_policy(),
             registry=registry,
-            retry_policy=fast_policy(),
         )
         faulted = list(source.iter_shards())
         clean = list(inner.iter_shards())
@@ -131,9 +132,9 @@ class TestFaultInjectingSource:
         inner = MatrixSource(*train_matrix, shard_rows=11)
         # Fault every attempt the policy is willing to make.
         schedule = FaultSchedule([FaultSpec(shard=2, attempts=(1, 2, 3))])
-        source = PrefetchingSource(
+        source = RetryingSource(
             FaultInjectingSource(inner, schedule),
-            retry_policy=fast_policy(max_attempts=3),
+            fast_policy(max_attempts=3),
         )
         with pytest.raises(TransientShardError):
             list(source.iter_shards())

@@ -10,8 +10,8 @@ The tier-1 concurrency coverage promised by the thread-safe runtime:
 
 Kept deliberately small (hundreds of rows, seconds of wall clock) so
 the suite stays tier-1; the CI stress job re-runs this file under
-``PYTHONDEVMODE=1`` with a hard timeout so a deadlocked flusher or
-worker pool fails the build instead of hanging it.
+``PYTHONDEVMODE=1`` with a hard timeout so a deadlocked flusher fails
+the build instead of hanging it.
 """
 
 import threading
@@ -94,7 +94,6 @@ class TestConcurrentSubmit:
             dataset.schema,
             max_batch_size=16,
             max_wait_s=0.002,
-            workers=4,
         ) as server:
             results = [None] * len(rows)
 
@@ -112,28 +111,6 @@ class TestConcurrentSubmit:
         assert results == expected
         assert stats.rows >= self.K * self.M
         assert stats.failed_flushes == 0
-
-    def test_worker_pool_sharding_matches_unsharded(self, artifact, dataset):
-        """Chunk boundaries must never change per-row predictions."""
-        plain = PredictionServer(
-            artifact, dataset.schema, max_wait_s=None, background_flush=False
-        )
-        rows = _label_rows(plain, dataset, 23)
-        expected = plain.predict_batch(rows)
-        with PredictionServer(
-            artifact,
-            dataset.schema,
-            max_wait_s=None,
-            background_flush=False,
-            workers=3,
-            max_batch_size=1000,
-        ) as server:
-            handles = [server.submit(r) for r in rows]
-            server.flush()
-            assert [h.result() for h in handles] == expected
-            # The flush was sharded across the pool: one predict call
-            # per chunk, not one per batch.
-            assert server.stats().predict_calls == 3
 
     def test_concurrent_predict_one_agrees(self, joinall_artifact, dataset):
         """The low-latency path is thread-safe too (shared cache)."""
@@ -228,10 +205,6 @@ class TestFailureVisibility:
         assert stats.rows_failed == 2
         assert stats.batches_flushed == 0
         assert "failed_flushes=1" in str(stats)
-
-    def test_workers_must_be_positive(self, artifact, dataset):
-        with pytest.raises(ValueError, match="workers"):
-            PredictionServer(artifact, dataset.schema, workers=0)
 
     def test_co_batched_failures_are_distinct_exceptions(
         self, artifact, dataset, monkeypatch

@@ -279,12 +279,11 @@ class TestRunnerEquivalence:
         )
         decorated = run_experiment(
             dataset, "nb", strategy, scale=SMOKE,
-            source=SourceSpec(shard_rows=17, prefetch=2, spill_cache=True),
+            source=SourceSpec(shard_rows=17, spill_cache=True),
         )
         assert decorated.test_accuracy == plain.test_accuracy
         assert decorated.train_accuracy == plain.train_accuracy
         assert decorated.validation_accuracy == plain.validation_accuracy
-        assert decorated.best_params["prefetch"] == 2
         assert decorated.best_params["spill_cache"] is True
 
     def test_matrices_and_source_are_mutually_exclusive(self):
