@@ -1,27 +1,31 @@
-"""Factorized vs implicit execution through the KFK join: the paper's regime.
+"""Grouped vs gathered layout through the KFK join: the paper's regime.
 
 Trains L1 logistic regression (FISTA, fixed iteration count) over a
 streamed OneXr star schema at growing tuple ratios ``n / |D_FK|`` —
-the paper's Table 1 axis.  The implicit engine gathers each shard to an
+the paper's Table 1 axis — on two bench-local sources that pin the
+layout.  The gathered source copies each shard to an
 ``(n, d_S + d_R)`` code table, so every kernel pass costs
-``O(n · (d_S + d_R))``; the factorized engine keeps dimension features
-as per-shard ``(|D|, d_R)`` blocks behind an FK indirection, so the
-same pass costs ``O(n · d_S + n + |D| · d_R)``.  At tuple ratio 100
-with ``d_R = 40`` (the paper's avoidance-tempting regime: dimensions
-carrying many features) the dimension term is ~1% of the gathered
-cost, and the measured speedup clears 3x.
+``O(n · (d_S + d_R))``; the all-grouped source keeps the dimension
+features as one ``(|D|, d_R)`` block behind an FK indirection in every
+shard, so the same pass costs ``O(n · d_S + n + |D| · d_R)``.  At tuple
+ratio 100 with ``d_R = 40`` (the paper's avoidance-tempting regime:
+dimensions carrying many features) the dimension term is ~1% of the
+gathered cost, and the measured speedup clears 3x.  Each sweep point
+also records the layout the library's own rule
+(:data:`repro.data.encoder.GROUP_FANOUT`) picks for a default
+``SourceSpec(shard_rows=...)`` stream.
 
-Every sweep point asserts the two engines are numerically one
+Every sweep point asserts the two layouts are numerically one
 algorithm: fitted coefficients agree within 1e-10 and the served
 predictions of implicit and factorized :class:`PredictionServer`\\ s
 over the same artifact are identical.  The script exits non-zero if
 either fails — or, with ``--assert-min-speedup S``, if any ratio >= 100
-trains slower than ``S``\\ x the implicit engine.
+trains the grouped layout slower than ``S``\\ x the gathered one.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_factorized.py
-    # CI smoke: tiny sweep, factorized must not lose at ratio 100
+    # CI smoke: tiny sweep, grouped must not lose at ratio 100
     PYTHONPATH=src python benchmarks/bench_factorized.py \
         --ratios 10 100 --n-r 20 --max-iter 10 --serve-rows 64 \
         --repeats 1 --assert-min-speedup 1.0 --out /tmp/bench.json
@@ -40,17 +44,56 @@ from repro.core import join_all_strategy
 from repro.data.spec import SourceSpec
 from repro.datasets import OneXrScenario
 from repro.ml.linear import L1LogisticRegression
+from repro.ml.sparse import FactorizedMatrix
 from repro.obs import machine_info
 from repro.rng import ensure_rng
 from repro.serving import PredictionServer
 from repro.serving.artifacts import ModelArtifact, schema_fingerprint
-from repro.streaming import StreamingTrainer
+from repro.streaming import ShardedDataset, StreamingMatrices, StreamingTrainer
 
 EQUIVALENCE_ATOL = 1e-10
 
-#: Ratios where the factorized engine is expected to win (the paper's
+#: Ratios where the grouped layout is expected to win (the paper's
 #: tuple-ratio rule fires around 20; 100 leaves comfortable margin).
 SPEEDUP_RATIO_FLOOR = 100
+
+
+class LayoutSource(StreamingMatrices):
+    """A train stream whose every shard takes one pinned layout.
+
+    ``grouped=True`` keeps every joined dimension grouped in every
+    shard, one-shard streams included; ``grouped=False`` gathers them
+    all.  The library's rule picks between the two per dimension, so
+    pinning both ends measures what the rule chooses between.
+    """
+
+    def __init__(self, dataset, shard_rows: int, grouped: bool):
+        super().__init__(
+            ShardedDataset.from_split(dataset, shard_rows=shard_rows),
+            join_all_strategy(),
+        )
+        self.grouped = grouped
+
+    def _assemble(self, shard):
+        encoder = self.encoder
+        if not self.grouped:
+            return encoder.encode_shard(shard.fact, gather=True)
+        X = encoder.assemble(
+            {c: shard.fact.codes(c) for c in encoder.required_columns},
+            grouped=encoder.joined_dimensions,
+        )
+        return X, shard.fact.codes(self.schema.target)
+
+
+def rule_layout(dataset, shard_rows: int) -> list[str]:
+    """The dimensions the library's rule keeps grouped in shard 0."""
+    source = SourceSpec(shard_rows=shard_rows).build(
+        dataset, join_all_strategy(), "train"
+    )
+    X, _ = source.shard(0)
+    if isinstance(X, FactorizedMatrix):
+        return [group.name for group in X.groups]
+    return []
 
 
 def make_dataset(ratio: int, n_r: int, d_s: int, d_r: int, seed: int):
@@ -61,25 +104,22 @@ def make_dataset(ratio: int, n_r: int, d_s: int, d_r: int, seed: int):
     return scenario.sample(seed)
 
 
-def train_engine(
-    dataset, engine: str, max_iter: int, shard_rows: int, repeats: int = 1
+def train_layout(
+    dataset, layout: str, max_iter: int, shard_rows: int, repeats: int = 1
 ):
-    """Fit fixed-iteration FISTA over a streamed source.
+    """Fit fixed-iteration FISTA over a streamed source in one layout.
 
     Returns the fitted model, the feature order and the best-of-
     ``repeats`` wall-clock — repeated fits are deterministic (seeded
     draws, tol=0), so the minimum is the least-noisy estimate on a
     shared machine.
     """
-    spec = SourceSpec(shard_rows=shard_rows, engine=engine)
-    source = spec.build(dataset, join_all_strategy(), "train")
-    # tol=0 disables early convergence: both engines run exactly
+    source = LayoutSource(dataset, shard_rows, grouped=layout == "grouped")
+    # tol=0 disables early convergence: both layouts run exactly
     # max_iter FISTA passes over the same shards, work for work.
     train_s = float("inf")
     for _ in range(repeats):
-        model = L1LogisticRegression(
-            lam=1e-4, max_iter=max_iter, tol=0.0, engine=engine
-        )
+        model = L1LogisticRegression(lam=1e-4, max_iter=max_iter, tol=0.0)
         started = time.perf_counter()
         StreamingTrainer(model).fit(source)
         train_s = min(train_s, time.perf_counter() - started)
@@ -148,30 +188,34 @@ def run(args):
     for ratio in args.ratios:
         dataset = make_dataset(ratio, args.n_r, args.d_s, args.d_r, args.seed)
         n_train = dataset.train.size
-        entry = {"tuple_ratio": ratio, "n_train": int(n_train)}
+        entry = {
+            "tuple_ratio": ratio,
+            "n_train": int(n_train),
+            "rule_grouped": rule_layout(dataset, args.shard_rows),
+        }
 
-        implicit, names_i, entry["implicit_train_seconds"] = train_engine(
-            dataset, "implicit", args.max_iter, args.shard_rows, args.repeats
+        gathered, names_g, entry["gathered_train_seconds"] = train_layout(
+            dataset, "gathered", args.max_iter, args.shard_rows, args.repeats
         )
-        factorized, names_f, entry["factorized_train_seconds"] = train_engine(
-            dataset, "factorized", args.max_iter, args.shard_rows, args.repeats
+        grouped, names_f, entry["grouped_train_seconds"] = train_layout(
+            dataset, "grouped", args.max_iter, args.shard_rows, args.repeats
         )
-        entry["train_speedup"] = entry["implicit_train_seconds"] / max(
-            entry["factorized_train_seconds"], 1e-12
+        entry["train_speedup"] = entry["gathered_train_seconds"] / max(
+            entry["grouped_train_seconds"], 1e-12
         )
 
-        assert names_i == names_f
+        assert names_g == names_f
         coef_gap = float(
             max(
-                np.max(np.abs(implicit.coef_ - factorized.coef_)),
-                abs(implicit.intercept_ - factorized.intercept_),
+                np.max(np.abs(gathered.coef_ - grouped.coef_)),
+                abs(gathered.intercept_ - grouped.intercept_),
             )
         )
         entry["coef_max_abs_gap"] = coef_gap
         if coef_gap > EQUIVALENCE_ATOL:
             ok = False
 
-        artifact = make_artifact(factorized, names_f, dataset)
+        artifact = make_artifact(grouped, names_f, dataset)
         rows = serve_rows(dataset, args.serve_rows, args.seed)
         served = measure_serving(artifact, dataset, rows)
         entry["serving"] = {
@@ -192,9 +236,10 @@ def run(args):
         results["ratios"].append(entry)
         print(
             f"n/|D|={ratio:>5d} (n={n_train:>7d})  "
-            f"implicit {entry['implicit_train_seconds']:.3f}s  "
-            f"factorized {entry['factorized_train_seconds']:.3f}s  "
+            f"gathered {entry['gathered_train_seconds']:.3f}s  "
+            f"grouped {entry['grouped_train_seconds']:.3f}s  "
             f"speedup {entry['train_speedup']:.2f}x  "
+            f"rule groups {entry['rule_grouped'] or 'nothing'}  "
             f"coef gap {coef_gap:.1e}  "
             f"serving {'identical' if identical else 'DIVERGED'}"
         )
@@ -225,7 +270,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="fits per engine per ratio; best wall-clock is reported",
+        help="fits per layout per ratio; best wall-clock is reported",
     )
     parser.add_argument(
         "--serve-rows", type=int, default=512,
@@ -233,7 +278,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--assert-min-speedup", type=float, default=None,
-        help="fail unless factorized training beats implicit by this factor "
+        help="fail unless grouped training beats gathered by this factor "
         f"at every tuple ratio >= {SPEEDUP_RATIO_FLOOR}",
     )
     parser.add_argument(
@@ -250,7 +295,7 @@ def main(argv=None) -> int:
 
     if not ok:
         print(
-            "ERROR: implicit/factorized engines diverged beyond "
+            "ERROR: gathered/grouped layouts diverged beyond "
             f"{EQUIVALENCE_ATOL} (or served different predictions)",
             file=sys.stderr,
         )

@@ -95,16 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--scale", choices=["smoke", "default", "paper"])
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument(
-        "--engine",
-        choices=["implicit", "dense", "factorized"],
-        default="implicit",
-        help=(
-            "execution engine for the tuned model's kernels "
-            "(lr_l1 only; 'factorized' pushes linear algebra through "
-            "the KFK join)"
-        ),
-    )
 
     p_fit = sub.add_parser(
         "fit",
@@ -169,16 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "restore the latest checkpoint in --checkpoint-dir before "
             "training (an empty directory simply starts fresh)"
-        ),
-    )
-    p_fit.add_argument(
-        "--engine",
-        choices=["implicit", "dense", "factorized"],
-        default="implicit",
-        help=(
-            "execution engine: 'factorized' keeps each shard's KFK "
-            "join factorized and pushes the training kernels through "
-            "it (lr_l1, nb, ann for non-factorized engines)"
         ),
     )
     p_fit.add_argument("--scale", choices=["smoke", "default", "paper"])
@@ -389,21 +369,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.engine != "implicit" and args.model != "lr_l1":
-        emit(
-            f"error: --engine {args.engine} is supported for the tuned "
-            f"'lr_l1' model only; {args.model!r} does not take an "
-            f"execution engine",
-            error=True,
-        )
-        return 2
     dataset = generate_real_world(
         args.dataset, n_fact=get_scale(args.scale).n_fact, seed=args.seed
     )
     strategy = _STRATEGIES[args.strategy]()
     result = run_experiment(
-        dataset, args.model, strategy, scale=get_scale(args.scale),
-        engine=args.engine,
+        dataset, args.model, strategy, scale=get_scale(args.scale)
     )
     emit(result)
     return 0
@@ -451,25 +422,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             error=True,
         )
         return 2
-    if args.engine == "factorized":
-        from repro.experiments.runner import FACTORIZABLE_MODELS
-
-        if args.model not in FACTORIZABLE_MODELS:
-            emit(
-                f"error: --engine factorized supports "
-                f"{'/'.join(FACTORIZABLE_MODELS)}; {args.model!r} "
-                f"consumes raw codes or dense hidden layers",
-                error=True,
-            )
-            return 2
-        if args.spill_cache is not None:
-            emit(
-                "error: --spill-cache stores gathered code tables and "
-                "cannot hold factorized shards; drop it or use "
-                "--engine implicit",
-                error=True,
-            )
-            return 2
     if args.stream:
         n_shards = args.shards
         if args.shard_rows is None and n_shards is None:
@@ -480,10 +432,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             shard_rows=args.shard_rows,
             n_shards=n_shards,
             spill_cache=args.spill_cache or False,
-            engine=args.engine,
         )
     else:
-        spec = SourceSpec(engine=args.engine)
+        spec = SourceSpec()
 
     def run() -> int:
         scale = get_scale(args.scale)

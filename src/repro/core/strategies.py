@@ -112,7 +112,6 @@ class JoinStrategy:
         shard_rows: int | None = None,
         n_shards: int | None = None,
         split: str = "train",
-        engine: str = "implicit",
     ) -> "repro.streaming.StreamingMatrices":  # noqa: F821
         """The out-of-core counterpart of :meth:`matrices`.
 
@@ -120,8 +119,6 @@ class JoinStrategy:
         split, assembled shard by shard — each shard's matrix is exactly
         the corresponding row block of what :meth:`matrices` would
         build, but the full join is never materialised.
-        ``engine="factorized"`` keeps each shard's KFK join factorized
-        (see :class:`~repro.ml.sparse.FactorizedMatrix`).
         """
         from repro.streaming import ShardedDataset, StreamingMatrices
 
@@ -130,7 +127,6 @@ class JoinStrategy:
                 dataset, shard_rows=shard_rows, n_shards=n_shards, split=split
             ),
             self,
-            engine=engine,
         )
 
 

@@ -16,6 +16,15 @@ once and shared:
   dimension indexes a server would — each shard costs O(1) numpy
   gathers per joined dimension instead of a fresh hash join.
 
+The layout of each joined dimension is decided per block, from key
+statistics alone (see :meth:`ShardEncoder.grouped_dimensions`): a
+dimension is kept grouped — resolved rows plus one shared ``(|D|, d_R)``
+code block, a :class:`~repro.ml.sparse.FactorizedGroup` — when the
+block has at least :data:`GROUP_FANOUT` fact rows per dimension row,
+and gathered into the code table otherwise.  When no dimension
+qualifies, the block is the plain gathered
+:class:`~repro.ml.encoding.CategoricalMatrix`.
+
 Correctness notes: the gather-based assembly is byte-identical to the
 offline ``kfk_join`` + project path (``tests/test_serving_feature_service.py``
 and the streaming equivalence suite both assert it), dangling foreign
@@ -30,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,6 +51,14 @@ from repro.obs import MetricsRegistry, trace
 from repro.relational.join import dimension_row_index, resolve_dimension_rows
 from repro.relational.schema import StarSchema
 from repro.relational.table import Table
+
+#: Fact rows per dimension row from which a block keeps a joined
+#: dimension grouped instead of gathering it.  One fixed constant, not
+#: an option: the calibration sweep behind it (streamed ``lr_l1`` on
+#: the paper's seven datasets and the synthetic star of
+#: ``benchmarks/bench_factorized.py``) is recorded in the README's
+#: "Execution engines" section.
+GROUP_FANOUT = 8.0
 
 
 @dataclass
@@ -191,6 +208,12 @@ class DimensionIndexCache:
 class ShardEncoder:
     """Encode blocks of fact rows into one (schema, strategy)'s features.
 
+    :meth:`assemble` is the one assembly path: the caller names the
+    joined dimensions to keep grouped (none, for served requests; all,
+    for the factorized scorer).  :meth:`encode_shard` is the training
+    entry point and makes that choice itself, per joined dimension,
+    from the block's rows and each ``|D|`` (:meth:`grouped_dimensions`).
+
     Parameters
     ----------
     schema:
@@ -223,8 +246,10 @@ class ShardEncoder:
         self.cache = DimensionIndexCache(
             schema, capacity=cache_capacity, registry=self.metrics
         )
-        # (|D|, d_R) code blocks for factorized assembly, stacked once
-        # per dimension (see _dimension_block).
+        self._grouped_dims = self.metrics.counter("data.encode.grouped_dims")
+        self._gathered_dims = self.metrics.counter("data.encode.gathered_dims")
+        # (|D|, d_R) code blocks for grouped assembly, stacked once per
+        # dimension (see _dimension_block).
         self._block_cache: dict[str, np.ndarray] = {}
         self.feature_names: tuple[str, ...] = tuple(strategy.feature_names(schema))
         self.joined_dimensions: tuple[str, ...] = tuple(
@@ -240,6 +265,15 @@ class ShardEncoder:
             fk = schema.constraint(name).fk_column
             for feature in schema.foreign_features(name):
                 self._foreign_of[feature] = (name, fk)
+        # |D| of every joined dimension that contributes features, in
+        # feature order: the dimensions the layout rule decides on.
+        self._dimension_sizes: dict[str, int] = {}
+        for feature in self.feature_names:
+            owner = self._foreign_of.get(feature)
+            if owner is not None and owner[0] not in self._dimension_sizes:
+                self._dimension_sizes[owner[0]] = schema.dimension(
+                    owner[0]
+                ).n_rows
         self._fact_features = [
             f for f in self.feature_names if f not in self._foreign_of
         ]
@@ -298,14 +332,40 @@ class ShardEncoder:
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def assemble(self, fact_codes: Mapping[str, np.ndarray]) -> CategoricalMatrix:
+    def grouped_dimensions(self, n_rows: int) -> tuple[str, ...]:
+        """The joined dimensions a block of ``n_rows`` fact rows keeps grouped.
+
+        A dimension is grouped when the block's fan-out over it,
+        ``n_rows / |D|``, reaches :data:`GROUP_FANOUT`, the calibrated
+        point from which running its kernels once per dimension row
+        (``O(|D|·d_R)``) measured no slower than gathering its features
+        per fact row (``O(n·d_R)``).
+        """
+        return tuple(
+            name
+            for name, size in self._dimension_sizes.items()
+            if n_rows >= GROUP_FANOUT * size
+        )
+
+    def assemble(
+        self,
+        fact_codes: Mapping[str, np.ndarray],
+        grouped: Collection[str] = (),
+    ) -> CategoricalMatrix | FactorizedMatrix:
         """Assemble the feature matrix for pre-encoded fact columns.
 
         ``fact_codes`` maps each :attr:`required_columns` entry to an
-        ``(n,)`` int code vector.  Foreign features are gathered from the
-        cached dimension indexes; a foreign key with no dimension row
-        raises :class:`repro.errors.ReferentialIntegrityError` loudly
-        rather than gathering garbage.
+        ``(n,)`` int code vector.  Each joined dimension's foreign key is
+        resolved to dimension rows once; a foreign key with no dimension
+        row raises :class:`repro.errors.ReferentialIntegrityError`
+        loudly rather than gathering garbage.  A dimension named in
+        ``grouped`` stays a :class:`~repro.ml.sparse.FactorizedGroup`
+        (its resolved rows plus the memoised ``(|D|, d_R)`` code block);
+        every other dimension's features are gathered into the code
+        table.  With nothing grouped the result is the gathered
+        :class:`~repro.ml.encoding.CategoricalMatrix`; otherwise a
+        :class:`~repro.ml.sparse.FactorizedMatrix` in the same column
+        order.
         """
         n = None
         for column, codes in fact_codes.items():
@@ -324,94 +384,9 @@ class ShardEncoder:
         # however many of its foreign features the strategy keeps.
         entries: dict[str, _DimensionIndex] = {}
         dim_rows: dict[str, np.ndarray] = {}
-        columns: list[np.ndarray] = []
-        levels: list[int] = []
-        for feature in self.feature_names:
-            owner = self._foreign_of.get(feature)
-            if owner is None:
-                try:
-                    codes = np.asarray(fact_codes[feature], dtype=np.int64)
-                except KeyError:
-                    raise SchemaError(
-                        f"request batch lacks fact column {feature!r}"
-                    ) from None
-                n_levels = len(self.schema.fact.domain(feature))
-                # Caller-supplied codes are the one unverified input here
-                # (encode_requests/assemble_table pre-validate, direct
-                # assemble() callers may not); check before they reach
-                # the implicit engine's gathers.
-                check_code_ranges(
-                    codes[:, np.newaxis], (n_levels,), (feature,)
-                )
-                levels.append(n_levels)
-            else:
-                name, fk = owner
-                if name not in entries:
-                    entries[name] = self.cache.get(name)
-                    try:
-                        fk_codes = np.asarray(fact_codes[fk], dtype=np.int64)
-                    except KeyError:
-                        raise SchemaError(
-                            f"request batch lacks foreign key {fk!r} needed "
-                            f"to resolve dimension {name!r}"
-                        ) from None
-                    dim_rows[name] = resolve_dimension_rows(
-                        self.schema,
-                        name,
-                        fk_codes,
-                        row_of_code=entries[name].row_of_code,
-                    )
-                codes = entries[name].feature_codes[feature][dim_rows[name]]
-                levels.append(
-                    len(self.schema.dimension(name).domain(feature))
-                )
-            columns.append(codes)
-        if not columns:
-            return CategoricalMatrix.empty(n)
-        # Fact codes were validated by Domain.encode and dimension codes
-        # come from validated tables, so skip the per-batch range scan.
-        return CategoricalMatrix(
-            np.stack(columns, axis=1), levels, self.feature_names,
-            validate=False,
-        )
-
-    def assemble_factorized(
-        self, fact_codes: Mapping[str, np.ndarray]
-    ) -> FactorizedMatrix:
-        """Assemble pre-encoded fact columns *without* the dimension gather.
-
-        The factorized sibling of :meth:`assemble`: fact feature columns
-        are stacked exactly as there and each joined dimension's FK is
-        resolved to dimension rows once (the same ``O(n)``
-        :func:`~repro.relational.join.resolve_dimension_rows` call, with
-        the same :class:`~repro.errors.ReferentialIntegrityError` on
-        dangling keys) — but the per-feature
-        ``feature_codes[feature][dim_rows]`` gather is skipped entirely.
-        Instead the dimension's cached per-feature code columns are
-        stacked once into a ``(|D|, d_R)`` block (memoised per
-        dimension, so steady-state assembly does zero per-dimension-row
-        work) and handed to the :class:`~repro.ml.sparse.FactorizedMatrix`
-        along with the resolved rows.
-        """
-        n = None
-        for column, codes in fact_codes.items():
-            codes = np.asarray(codes)
-            if n is None:
-                n = codes.shape[0]
-            elif codes.shape[0] != n:
-                raise SchemaError(
-                    f"ragged request batch: column {column!r} has "
-                    f"{codes.shape[0]} rows, expected {n}"
-                )
-        if n is None:
-            raise ValueError("cannot assemble an empty request batch")
-
-        entries: dict[str, _DimensionIndex] = {}
-        dim_rows: dict[str, np.ndarray] = {}
         group_positions: dict[str, list[int]] = {}
-        group_features: dict[str, list[str]] = {}
-        fact_positions: list[int] = []
-        fact_columns: list[np.ndarray] = []
+        positions: list[int] = []
+        columns: list[np.ndarray] = []
         for position, feature in enumerate(self.feature_names):
             owner = self._foreign_of.get(feature)
             if owner is None:
@@ -421,13 +396,15 @@ class ShardEncoder:
                     raise SchemaError(
                         f"request batch lacks fact column {feature!r}"
                     ) from None
+                # Caller-supplied codes are the one unverified input here
+                # (encode_requests/assemble_table pre-validate, direct
+                # assemble() callers may not); check before they reach
+                # the implicit engine's gathers.
                 check_code_ranges(
                     codes[:, np.newaxis],
                     (self.n_levels[position],),
                     (feature,),
                 )
-                fact_positions.append(position)
-                fact_columns.append(codes)
             else:
                 name, fk = owner
                 if name not in entries:
@@ -445,39 +422,47 @@ class ShardEncoder:
                         fk_codes,
                         row_of_code=entries[name].row_of_code,
                     )
-                group_positions.setdefault(name, []).append(position)
-                group_features.setdefault(name, []).append(feature)
+                if name in grouped:
+                    group_positions.setdefault(name, []).append(position)
+                    continue
+                codes = entries[name].feature_codes[feature][dim_rows[name]]
+            positions.append(position)
+            columns.append(codes)
+        stacked = (
+            np.stack(columns, axis=1)
+            if columns
+            else np.zeros((n, 0), dtype=np.int64)
+        )
+        if not group_positions:
+            # Fact codes were validated above and dimension codes come
+            # from validated tables, so skip the per-batch range scan.
+            return CategoricalMatrix(
+                stacked, self.n_levels, self.feature_names, validate=False
+            )
         groups = [
             FactorizedGroup(
                 name,
                 np.asarray(group_positions[name], dtype=np.int64),
                 dim_rows[name],
-                self._dimension_block(
-                    name, entries[name], group_features[name]
-                ),
+                self._dimension_block(name, entries[name]),
             )
             for name in group_positions
         ]
-        stacked = (
-            np.stack(fact_columns, axis=1)
-            if fact_columns
-            else np.zeros((n, 0), dtype=np.int64)
-        )
         return FactorizedMatrix(
             self.feature_names,
             self.n_levels,
-            np.asarray(fact_positions, dtype=np.int64),
+            np.asarray(positions, dtype=np.int64),
             stacked,
             groups,
         )
 
     def _dimension_block(
-        self, name: str, entry: _DimensionIndex, features: list[str]
+        self, name: str, entry: _DimensionIndex
     ) -> np.ndarray:
         """The dimension's ``(|D|, d_R)`` code block, memoised by name.
 
-        Stacking the cached per-feature code columns costs
-        ``O(|D|·d_R)`` once; afterwards a factorized assembly does no
+        Stacking the cached per-feature code columns (in feature order)
+        costs ``O(|D|·d_R)`` once; afterwards a grouped assembly does no
         per-dimension-row work at all.  Entries are immutable and the
         stack is deterministic, so racing threads writing the same key
         is benign.
@@ -485,13 +470,18 @@ class ShardEncoder:
         block = self._block_cache.get(name)
         if block is None:
             block = np.stack(
-                [entry.feature_codes[feature] for feature in features], axis=1
+                [
+                    entry.feature_codes[feature]
+                    for feature in self.feature_names
+                    if self._foreign_of.get(feature, (None,))[0] == name
+                ],
+                axis=1,
             ).astype(np.int64, copy=False)
             self._block_cache[name] = block
         return block
 
     def assemble_table(self, fact_rows: Table) -> CategoricalMatrix:
-        """Assemble features for rows shaped like the fact table."""
+        """Assemble gathered features for rows shaped like the fact table."""
         return self.assemble(
             {column: fact_rows.codes(column) for column in self.required_columns}
         )
@@ -502,55 +492,44 @@ class ShardEncoder:
         """Encode label-valued request rows and assemble their features."""
         return self.assemble(self.encode_requests(rows))
 
-    def encode_shard(self, fact_rows: Table) -> tuple[CategoricalMatrix, np.ndarray]:
+    def encode_shard(
+        self, fact_rows: Table, gather: bool = False
+    ) -> tuple[CategoricalMatrix | FactorizedMatrix, np.ndarray]:
         """One block of fact rows as an encoded ``(X, y)`` pair.
 
         The training-side entry point: the same assembly the serving
         path runs per micro-batch, plus the target codes read straight
-        off the fact block (labels never pass through a join).
+        off the fact block (labels never pass through a join).  The
+        layout is decided here, per joined dimension, by
+        :meth:`grouped_dimensions`; ``gather=True`` gathers every
+        dimension (a one-shard stream is the in-memory matrix and must
+        equal it bit for bit).
 
         Each call lands one observation in the ``data.encode.shard_s``
-        histogram and one merged ``encode.shard`` span, so multi-pass
-        training (FISTA re-streams the source every iteration) reports
-        one aggregate line instead of thousands of spans.
+        histogram, one merged ``encode.shard`` span, and the decision in
+        the ``data.encode.grouped_dims`` / ``data.encode.gathered_dims``
+        counters, so multi-pass training (FISTA re-streams the source
+        every iteration) reports one aggregate line instead of
+        thousands of spans.
         """
         started = time.perf_counter()
+        grouped = () if gather else self.grouped_dimensions(len(fact_rows))
         with trace("encode.shard", merge=True):
             encoded = (
-                self.assemble_table(fact_rows),
-                fact_rows.codes(self.schema.target),
-            )
-        self._encode_seconds.observe(time.perf_counter() - started)
-        self._encoded_shards.inc()
-        self._encoded_rows.inc(len(fact_rows))
-        return encoded
-
-    def encode_shard_factorized(
-        self, fact_rows: Table
-    ) -> tuple[FactorizedMatrix, np.ndarray]:
-        """One block of fact rows as a factorized ``(X, y)`` pair.
-
-        :meth:`encode_shard` with the gather skipped: same required
-        columns, same referential-integrity errors, same telemetry
-        (``data.encode.shard_s`` histogram and merged ``encode.shard``
-        span), but the features come back as a
-        :class:`~repro.ml.sparse.FactorizedMatrix` whose per-shard cost
-        is ``O(n)`` past the memoised dimension blocks.
-        """
-        started = time.perf_counter()
-        with trace("encode.shard", merge=True):
-            encoded = (
-                self.assemble_factorized(
+                self.assemble(
                     {
                         column: fact_rows.codes(column)
                         for column in self.required_columns
-                    }
+                    },
+                    grouped,
                 ),
                 fact_rows.codes(self.schema.target),
             )
         self._encode_seconds.observe(time.perf_counter() - started)
         self._encoded_shards.inc()
         self._encoded_rows.inc(len(fact_rows))
+        self._grouped_dims.inc(len(grouped))
+        self._gathered_dims.inc(len(self._dimension_sizes) - len(grouped))
         return encoded
 
     def __repr__(self) -> str:

@@ -39,33 +39,22 @@ class SourceSpec:
         ``False`` (default) for no cache, ``True`` for a
         :class:`SpillCacheSource` in a private temporary directory, or
         an explicit directory path.
-    engine:
-        Execution engine for the streams and models this spec feeds.
-        ``"factorized"`` makes the streaming path assemble
-        :class:`~repro.ml.sparse.FactorizedMatrix` shards (the KFK join
-        stays factorized end to end); the in-memory path is unaffected
-        by the spec (models factorize an already-gathered matrix into
-        the degenerate all-fact form, bit-identical to implicit).
+
+    The spec says nothing about layout: the streaming path's encoder
+    decides per shard and per joined dimension whether to keep the
+    dimension grouped (see :data:`repro.data.encoder.GROUP_FANOUT`),
+    and the spill cache stores either layout exactly.
     """
 
     shard_rows: int | None = None
     n_shards: int | None = None
     spill_cache: bool | str | Path = False
-    engine: str = "implicit"
 
     def __post_init__(self) -> None:
-        from repro.ml.sparse import check_engine
-
-        check_engine(self.engine)
         if self.shard_rows is not None and self.n_shards is not None:
             raise ValueError(
                 "shard_rows and n_shards are two ways to lay out the same "
                 "shards; pass exactly one"
-            )
-        if self.engine == "factorized" and self.spill_cache:
-            raise ValueError(
-                "spill_cache stores gathered code tables and cannot hold "
-                "factorized shards; drop spill_cache or use engine='implicit'"
             )
         for name in ("shard_rows", "n_shards"):
             value = getattr(self, name)
@@ -119,7 +108,6 @@ class SourceSpec:
                     ),
                     strategy,
                     encoder=encoder,
-                    engine=self.engine,
                 )
                 for split in splits
             }
@@ -165,8 +153,6 @@ class SourceSpec:
     def describe(self) -> dict:
         """The spec as flat result metadata (for ``RunResult.best_params``)."""
         described: dict = {"streaming": self.streaming}
-        if self.engine != "implicit":
-            described["engine"] = self.engine
         if self.spill_cache:
             described["spill_cache"] = (
                 True if self.spill_cache is True else str(self.spill_cache)

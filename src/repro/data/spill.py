@@ -5,9 +5,11 @@ Multi-pass consumers — exact FISTA makes one full pass over the shards
 hundreds of times.  For a CSV-backed source each production is a seek,
 a text parse, a per-column domain encode and a KFK join; all of it
 yields the same bytes every time.  :class:`SpillCacheSource` intercepts
-:meth:`shard` and keeps each shard's encoded form — the integer code
-matrix and the label vector, exactly the arrays training consumes — in
-an ``.npz`` file, bounded by an LRU byte budget.  Re-reads become one
+:meth:`shard` and keeps each shard's encoded form — exactly the arrays
+training consumes, in whichever layout the encoder chose: the gathered
+code matrix, or a grouped shard's fact codes, fact positions and each
+dimension group's resolved rows and code block — plus the label vector
+in an ``.npz`` file, bounded by an LRU byte budget.  Re-reads become one
 ``np.load`` instead of a re-parse and re-join, while peak *memory*
 stays one shard: the cache spills to disk, not to RAM.
 
@@ -43,12 +45,34 @@ from repro.errors import SpillCorruptionError
 from repro.obs import MetricsRegistry
 
 
-def _checksum(codes: np.ndarray, y: np.ndarray) -> int:
-    """CRC-32 over a shard's exact array bytes (shape/dtype included)."""
-    crc = zlib.crc32(str((codes.shape, str(codes.dtype))).encode())
-    crc = zlib.crc32(np.ascontiguousarray(codes).tobytes(), crc)
-    crc = zlib.crc32(str((y.shape, str(y.dtype))).encode(), crc)
-    return zlib.crc32(np.ascontiguousarray(y).tobytes(), crc)
+def _checksum(arrays: dict[str, np.ndarray]) -> int:
+    """CRC-32 over a shard's exact array bytes (names/shape/dtype included)."""
+    crc = 0
+    for name in sorted(arrays):
+        array = arrays[name]
+        header = str((name, array.shape, str(array.dtype))).encode()
+        crc = zlib.crc32(header, crc)
+        crc = zlib.crc32(np.ascontiguousarray(array).tobytes(), crc)
+    return crc
+
+
+def _shard_arrays(X, y: np.ndarray) -> dict[str, np.ndarray]:
+    """The arrays that reproduce one encoded shard exactly."""
+    from repro.ml.sparse import FactorizedMatrix
+
+    if not isinstance(X, FactorizedMatrix):
+        return {"codes": X.codes, "y": y}
+    arrays = {
+        "y": y,
+        "fact_positions": X.fact_positions,
+        "fact_codes": X.fact_codes,
+        "group_names": np.array([g.name for g in X.groups]),
+    }
+    for i, group in enumerate(X.groups):
+        arrays[f"g{i}_positions"] = group.positions
+        arrays[f"g{i}_dim_rows"] = group.dim_rows
+        arrays[f"g{i}_block"] = group.block
+    return arrays
 
 
 @dataclass
@@ -190,32 +214,52 @@ class SpillCacheSource(SourceDecorator):
         # Local import: keeps repro.data.source importable from within
         # repro.ml's own module initialisation (see repro.data.__init__).
         from repro.ml.encoding import CategoricalMatrix
+        from repro.ml.sparse import FactorizedGroup, FactorizedMatrix
 
         path = self._path(index)
         try:
             with np.load(path) as archive:
-                codes = archive["codes"]
-                y = archive["y"]
-                stored = int(archive["crc"][()]) if "crc" in archive else None
+                arrays = {name: archive[name] for name in archive.files}
+            stored = int(arrays.pop("crc")[()])
         except (OSError, ValueError, KeyError, EOFError,
                 zipfile.BadZipFile) as error:
             raise SpillCorruptionError(
                 f"{path}: spill entry unreadable ({error})"
             ) from error
-        if stored is None or _checksum(codes, y) != stored:
+        if _checksum(arrays) != stored:
             raise SpillCorruptionError(
                 f"{path}: spill entry failed checksum verification"
             )
-        # Codes round-trip exactly and were validated when the source
-        # produced them, so skip the range re-scan.
-        X = CategoricalMatrix(
-            codes, self.n_levels, self.feature_names, validate=False
+        y = arrays["y"]
+        if "codes" in arrays:
+            # Codes round-trip exactly and were validated when the
+            # source produced them, so skip the range re-scan.
+            X = CategoricalMatrix(
+                arrays["codes"], self.n_levels, self.feature_names,
+                validate=False,
+            )
+            return X, y
+        groups = [
+            FactorizedGroup(
+                str(name),
+                arrays[f"g{i}_positions"],
+                arrays[f"g{i}_dim_rows"],
+                arrays[f"g{i}_block"],
+            )
+            for i, name in enumerate(arrays["group_names"])
+        ]
+        X = FactorizedMatrix(
+            self.feature_names,
+            self.n_levels,
+            arrays["fact_positions"],
+            arrays["fact_codes"],
+            groups,
         )
         return X, y
 
     def _store(self, index: int, X, y) -> None:
         path = self._path(index)
-        y = np.asarray(y)
+        arrays = _shard_arrays(X, np.asarray(y))
         # Temp file in the cache directory + os.replace: a kill at any
         # instant leaves either no entry or a complete one, never a
         # torn .npz that np.load chokes on next pass.
@@ -225,10 +269,7 @@ class SpillCacheSource(SourceDecorator):
         try:
             with os.fdopen(fd, "wb") as handle:
                 np.savez(
-                    handle,
-                    codes=X.codes,
-                    y=y,
-                    crc=np.uint32(_checksum(X.codes, y)),
+                    handle, crc=np.uint32(_checksum(arrays)), **arrays
                 )
             os.replace(tmp, path)
         except BaseException:

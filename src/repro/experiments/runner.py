@@ -43,14 +43,10 @@ from repro.obs import trace
 class PathTuner:
     """Adapts :class:`LogisticRegressionPath` to the tuner protocol."""
 
-    def __init__(self, nlambda: int, engine: str = "implicit"):
+    def __init__(self, nlambda: int):
         self.path = LogisticRegressionPath(
-            nlambda=nlambda, max_iter=10_000, tol=1e-3, engine=engine
+            nlambda=nlambda, max_iter=10_000, tol=1e-3
         )
-
-    def set_engine(self, engine: str) -> None:
-        """Switch the path's execution engine (the ``--engine`` hook)."""
-        self.path.engine = engine
 
     def fit(
         self,
@@ -259,7 +255,6 @@ def fit_pipeline(
     strategy: JoinStrategy,
     scale: Scale | None = None,
     matrices: StrategyMatrices | None = None,
-    engine: str = "implicit",
 ) -> FittedPipeline:
     """Materialise, tune and train one pipeline, keeping the fitted model.
 
@@ -276,12 +271,6 @@ def fit_pipeline(
     matrices:
         Pre-materialised matrices (to share the join across models);
         built from the strategy when omitted.
-    engine:
-        Execution engine for tuners that expose one (``set_engine``);
-        currently the L1 logistic path.  The tuned path trains on
-        already-gathered matrices, so ``"factorized"`` degenerates to
-        the implicit engine's exact arithmetic here — the factorized
-        training win needs the streaming path (``SourceSpec(engine=...)``).
     """
     try:
         spec = MODEL_REGISTRY[model_key]
@@ -297,16 +286,6 @@ def fit_pipeline(
         with trace("join", strategy=strategy.name):
             matrices = strategy.matrices(dataset)
     tuner = spec.make_tuner(scale)
-    if engine != "implicit":
-        from repro.ml.sparse import check_engine
-
-        check_engine(engine)
-        if not hasattr(tuner, "set_engine"):
-            raise ValueError(
-                f"model {model_key!r} does not take an execution engine; "
-                f"engine= is supported for 'lr_l1'"
-            )
-        tuner.set_engine(engine)
     with trace("tune", model=model_key):
         tuner.fit(
             matrices.X_train,
@@ -349,17 +328,10 @@ def streaming_model_display(model_key: str) -> str:
     return MODEL_REGISTRY[model_key].display
 
 
-#: Streamable models whose kernels run on factorized shards (the trees
-#: consume raw gathered codes, the MLP's hidden layers are dense —
-#: their streams must stay gathered).
-FACTORIZABLE_MODELS = ("lr_l1", "nb")
-
-
 def make_streaming_model(
     model_key: str,
     scale: Scale | None = None,
     seed: int = 0,
-    engine: str = "implicit",
 ):
     """Build one streaming-capable model at a scale profile.
 
@@ -371,26 +343,18 @@ def make_streaming_model(
     Bayes streams its counts and the trees their split histograms
     exactly, so no configuration differs from the in-memory one.
 
-    ``engine="factorized"`` is accepted for :data:`FACTORIZABLE_MODELS`
-    only; Naive Bayes dispatches on the shard type (no hyper-parameter),
-    the logistic model and MLP take the engine directly.
+    Every model accepts either shard layout the encoder produces: the
+    logistic model and Naive Bayes run grouped shards through their
+    per-dimension kernels, the MLP and trees gather them once on entry.
     """
     scale = scale or get_scale()
-    if engine == "factorized" and model_key not in FACTORIZABLE_MODELS:
-        raise ValueError(
-            f"model {model_key!r} cannot train on factorized shards; "
-            f"factorizable models: {list(FACTORIZABLE_MODELS)}"
-        )
     if model_key == "lr_l1":
-        return L1LogisticRegression(
-            lam=1e-3, max_iter=10_000, tol=1e-5, engine=engine
-        )
+        return L1LogisticRegression(lam=1e-3, max_iter=10_000, tol=1e-5)
     if model_key == "ann":
         return MLPClassifier(
             hidden_sizes=scale.ann_hidden,
             epochs=scale.ann_epochs,
             random_state=seed,
-            engine=engine,
         )
     if model_key == "nb":
         return CategoricalNB(alpha=1.0)
@@ -433,7 +397,7 @@ def _run_source_experiment(
     from repro.streaming import StreamingTrainer
 
     scale = scale or get_scale()
-    model = make_streaming_model(model_key, scale, seed, engine=spec.engine)
+    model = make_streaming_model(model_key, scale, seed)
     started = time.perf_counter()
     # Source construction resolves the strategy's join plan per split
     # (sharded sources then encode lazily, shard by shard, inside fit
@@ -491,7 +455,6 @@ def run_experiment(
     checkpoint=None,
     checkpoint_every: int = 1,
     resume: bool = False,
-    engine: str = "implicit",
 ) -> RunResult:
     """Run one experiment cell end to end.
 
@@ -522,22 +485,12 @@ def run_experiment(
     semantics are documented there); the tuned path rejects them via
     the trainer's own validation when combined incorrectly and ignores
     them otherwise.
-
-    ``engine`` selects the tuned path's execution engine (see
-    :func:`fit_pipeline`); the source path takes its engine from the
-    spec (``SourceSpec(engine=...)``), so passing both here raises.
     """
     if source is not None:
         if matrices is not None:
             raise ValueError(
                 "matrices= belongs to the tuned path; a SourceSpec builds "
                 "its own per-split sources — pass one or the other"
-            )
-        if engine != "implicit" and engine != source.engine:
-            raise ValueError(
-                "the source path takes its engine from the SourceSpec; "
-                f"got engine={engine!r} with SourceSpec(engine="
-                f"{source.engine!r})"
             )
         return _run_source_experiment(
             dataset, model_key, strategy, source, scale, seed,
@@ -546,8 +499,7 @@ def run_experiment(
         )
     started = time.perf_counter()
     pipeline = fit_pipeline(
-        dataset, model_key, strategy, scale=scale, matrices=matrices,
-        engine=engine,
+        dataset, model_key, strategy, scale=scale, matrices=matrices
     )
     result = pipeline.result()
     result.seconds = time.perf_counter() - started

@@ -95,7 +95,9 @@ class _EncodingMemo:
     def __call__(self, X: CategoricalMatrix):
         if X is not self._X:
             self._X = X
-            self._encoded = sparse.encode_features(X, self.engine)
+            self._encoded = sparse.encode_features(
+                X, self.engine, keep_groups=True
+            )
         return self._encoded
 
 
@@ -147,8 +149,9 @@ class L1LogisticRegression(Estimator):
         Whether to learn an unpenalised bias term.
     engine:
         ``"implicit"`` (default) trains on the gather/scatter one-hot
-        view; ``"dense"`` materialises the encoding — the reference
-        fallback, numerically equivalent.
+        view and keeps a grouped shard's dimension blocks, running the
+        per-dimension kernels once per block; ``"dense"`` materialises
+        the encoding — the reference fallback, numerically equivalent.
     """
 
     _param_names = ("lam", "max_iter", "tol", "fit_intercept", "engine")
@@ -265,7 +268,7 @@ class L1LogisticRegression(Estimator):
         (:class:`repro.streaming.StreamingTrainer`'s incremental mode)
         compute it once per shard and pass it to :meth:`partial_fit`.
         """
-        encoded = sparse.encode_features(X, self.engine)
+        encoded = sparse.encode_features(X, self.engine, keep_groups=True)
         return _lipschitz_bound(encoded) + (0.25 if self.fit_intercept else 0.0)
 
     def partial_fit(
@@ -297,7 +300,7 @@ class L1LogisticRegression(Estimator):
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if n_iter < 1:
             raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-        encoded = sparse.encode_features(X, self.engine)
+        encoded = sparse.encode_features(X, self.engine, keep_groups=True)
         n, d = encoded.shape
         if hasattr(self, "coef_"):
             if self.coef_.shape[0] != d:
@@ -363,7 +366,9 @@ class L1LogisticRegression(Estimator):
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.n_features}"
             )
-        encoded = sparse.encode_features(X, getattr(self, "engine", "dense"))
+        encoded = sparse.encode_features(
+            X, getattr(self, "engine", "dense"), keep_groups=True
+        )
         return sparse.matmul(encoded, self.coef_) + self.intercept_
 
     def predict_proba(self, X: CategoricalMatrix) -> np.ndarray:
@@ -416,7 +421,7 @@ class LogisticRegressionPath:
     def lambda_max(self, X: CategoricalMatrix, y: np.ndarray) -> float:
         """Smallest penalty at which the all-zero solution is optimal."""
         y = np.asarray(y, dtype=np.float64)
-        encoded = sparse.encode_features(X, self.engine)
+        encoded = sparse.encode_features(X, self.engine, keep_groups=True)
         n = encoded.shape[0]
         centred = y - y.mean()
         if encoded.shape[1] == 0:

@@ -112,7 +112,7 @@ class CategoricalNB(Estimator):
                 f"{self.n_classes_} classes"
             )
         self.class_count_ += np.bincount(y, minlength=self.n_classes_)
-        self._accumulate(encode_features(X, "factorized"), y)
+        self._accumulate(encode_features(X, keep_groups=True), y)
         self._finalize()
         return self
 
@@ -192,7 +192,7 @@ class CategoricalNB(Estimator):
             raise ValueError(
                 f"expected {len(self.n_levels_)} features, got {X.n_features}"
             )
-        X = encode_features(X, "factorized")
+        X = encode_features(X, keep_groups=True)
         jll = np.tile(self.class_log_prior_, (X.n_rows, 1))
         for c, position in enumerate(X.fact_positions):
             jll += self.feature_log_prob_[position][:, X.fact_codes[:, c]].T

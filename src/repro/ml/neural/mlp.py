@@ -9,7 +9,10 @@ The input layer runs on the implicit one-hot engine by default: the
 forward product gathers first-layer weight rows by code and the backward
 weight gradient scatter-adds each batch row's delta into the one-hot
 columns it activates (:mod:`repro.ml.sparse`), so neither pass touches
-the ``sum(n_levels)``-wide zero structure.  Label one-hot targets are
+the ``sum(n_levels)``-wide zero structure.  A grouped input shard
+(:class:`~repro.ml.sparse.FactorizedMatrix` with dimension groups) is
+gathered once on entry: a minibatch would otherwise re-pay every
+dimension block, ``|D|·d_R`` work per batch.  Label one-hot targets are
 built per minibatch rather than materialised for the full training set.
 
 Training is resumable: :meth:`MLPClassifier.partial_fit` runs one

@@ -39,14 +39,21 @@ fact rows only through a single gather or ``bincount`` by FK code
 of ``O(n·d)`` — the win grows with the ``n/|D|`` fan-out, exactly the
 regime where the paper's join-avoidance question bites.
 
-Every numeric model accepts ``engine="implicit"`` (the default: gather
-a grouped input, then run the zero-group form), ``engine="factorized"``
-(keep the grouped layout) or ``engine="dense"`` (the materialised
-reference the tests compare against); the module-level :func:`matmul` /
-:func:`rmatmul` / :func:`take_rows` helpers dispatch on the operand
-type so model code is written once for all paths, and tests assert the
-paths agree to 1e-10 (bit-identical where summation order is
-unchanged).
+Which layout a shard arrives in is decided per joined dimension by the
+encoder that builds it (:class:`~repro.data.encoder.ShardEncoder`
+groups a dimension only when the shard's fan-out over it pays), not by
+the model.  Every numeric model accepts ``engine="implicit"`` (the
+default) or ``engine="dense"`` (the materialised reference the tests
+compare against).  Under the implicit engine, whether a model keeps a
+grouped operand is a fixed property of the model: L1 logistic
+regression and Naive Bayes pass ``keep_groups=True`` to
+:func:`encode_features` and run the grouped kernels; the MLP, trees,
+k-NN and SVC gather once on entry (their per-row work would otherwise
+re-pay the block per minibatch or per comparison).  The module-level
+:func:`matmul` / :func:`rmatmul` / :func:`take_rows` helpers dispatch
+on the operand type so model code is written once for all paths, and
+tests assert the paths agree to 1e-10 (bit-identical where summation
+order is unchanged).
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ import numpy as np
 from repro.ml.encoding import CategoricalMatrix
 
 #: Execution engines accepted by the numeric models.
-ENGINES = ("implicit", "dense", "factorized")
+ENGINES = ("implicit", "dense")
 
 
 def check_engine(engine: str) -> str:
@@ -219,9 +226,8 @@ class FactorizedMatrix:
         """The zero-group form: a view over a gathered matrix's codes.
 
         The ``(n, d)`` int64 code table is shared, not copied, and
-        every kernel runs the plain per-feature gather/scatter over it —
-        so ``engine="factorized"`` on an already-gathered matrix is
-        bit-identical to ``engine="implicit"``.  A ``CategoricalMatrix``
+        every kernel runs the plain per-feature gather/scatter over it.
+        A ``CategoricalMatrix``
         already satisfies the constructor's checks, so they are skipped
         (streamed fits build this once per shard per pass).
         """
@@ -301,7 +307,12 @@ class FactorizedMatrix:
         if len(self.fact_positions):
             codes[:, self.fact_positions] = self.fact_codes
         for group in self.groups:
-            codes[:, group.positions] = group.block[group.dim_rows]
+            # np.take is markedly faster than fancy row indexing here,
+            # and this gather runs once per shard for every model that
+            # gathers a grouped shard on entry.
+            codes[:, group.positions] = np.take(
+                group.block, group.dim_rows, axis=0
+            )
         return codes
 
     def _fact_flat_codes(self) -> np.ndarray:
@@ -521,20 +532,22 @@ class FactorizedMatrix:
 # Engine dispatch
 # ----------------------------------------------------------------------
 def encode_features(
-    X: "CategoricalMatrix | FactorizedMatrix", engine: str = "implicit"
+    X: "CategoricalMatrix | FactorizedMatrix",
+    engine: str = "implicit",
+    keep_groups: bool = False,
 ) -> "FactorizedMatrix | np.ndarray":
     """Encode a feature matrix under the chosen execution engine.
 
-    ``"factorized"`` keeps a :class:`FactorizedMatrix` as it is;
-    ``"implicit"`` gathers a grouped one (so a factorized-encoded stream
-    still feeds engine-mismatched models correctly, at the gather's
-    cost).  Either way a gathered
-    :class:`~repro.ml.encoding.CategoricalMatrix` becomes the zero-group
-    form over its codes.  ``"dense"`` materialises the one-hot array.
+    ``keep_groups=True`` (the grouped-kernel models) keeps a grouped
+    :class:`FactorizedMatrix` as it is under the implicit engine;
+    otherwise a grouped operand is gathered once here.  Either way a
+    gathered :class:`~repro.ml.encoding.CategoricalMatrix` becomes the
+    zero-group form over its codes, and ``"dense"`` materialises the
+    one-hot array.
     """
     check_engine(engine)
     if isinstance(X, FactorizedMatrix):
-        if engine == "factorized":
+        if keep_groups and engine == "implicit":
             return X
         X = X.gather()
     if engine == "dense":

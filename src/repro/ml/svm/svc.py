@@ -46,10 +46,9 @@ class KernelSVC(Estimator):
         Seed for the solver's second-choice fallback.
     engine:
         ``"implicit"`` (default) computes Gram blocks from code-equality
-        counts; ``"factorized"`` keeps a factorized input's layout for
-        the stored support vectors (Gram blocks still compare gathered
-        codes); ``"dense"`` one-hot encodes — the reference fallback,
-        numerically equivalent.
+        counts (a grouped input is gathered once on entry, since every
+        Gram block compares per-row codes); ``"dense"`` one-hot
+        encodes — the reference fallback, numerically equivalent.
     """
 
     _param_names = (

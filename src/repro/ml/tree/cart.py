@@ -200,6 +200,7 @@ class DecisionTreeClassifier(Estimator):
         n_total = 0
         for X, y in source:
             y = check_X_y(X, y)
+            X = _gathered(X)
             if tuple(X.n_levels) != n_levels:
                 raise ValueError(
                     f"shard has feature levels {X.n_levels}, source "
@@ -245,7 +246,8 @@ class DecisionTreeClassifier(Estimator):
             }
             for X, y in source:
                 self._accumulate_stats(
-                    root, X, np.asarray(y), np.arange(X.n_rows), stats
+                    root, _gathered(X), np.asarray(y), np.arange(X.n_rows),
+                    stats,
                 )
             next_frontier: list[TreeNode] = []
             for node in frontier:

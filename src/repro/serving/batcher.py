@@ -88,7 +88,7 @@ class PendingPrediction:
 
         With a background flusher the call waits on the batcher's
         delivery condition, notified by whichever thread runs the batch
-        (flusher, size-triggered submitter, or worker pool); in inline
+        (the deadline flusher or a size-triggered submitter); in inline
         mode, or when no deadline thread exists to ever deliver the
         row, the call first forces a flush of the whole queue so a
         result can always be claimed, then waits out any batch another

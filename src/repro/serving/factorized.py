@@ -1,6 +1,6 @@
 """Factorized serving: per-dimension score contributions fixed at load.
 
-The factorized engine's serving payoff is that a trained linear or NB
+The grouped layout's serving payoff is that a trained linear or NB
 model's score is *additive over features*, so each joined dimension's
 share of the score depends only on which dimension row a fact row
 resolves to — never on the fact row itself.  :class:`FactorizedScorer`
@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SchemaError
+from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear.logistic import L1LogisticRegression
 from repro.ml.naive_bayes import CategoricalNB
 from repro.ml.sparse import FactorizedMatrix
@@ -85,19 +86,15 @@ class FactorizedScorer:
 
         fact_positions: list[int] = []
         dims: dict[str, list[int]] = {}
-        dim_features: dict[str, list[str]] = {}
         for position, feature in enumerate(self.feature_names):
             owner = features._foreign_of.get(feature)
             if owner is None:
                 fact_positions.append(position)
             else:
-                name, _ = owner
-                dims.setdefault(name, []).append(position)
-                dim_features.setdefault(name, []).append(feature)
+                dims.setdefault(owner[0], []).append(position)
 
         def block_of(name: str) -> np.ndarray:
-            entry = features.cache.get(name)
-            return features._dimension_block(name, entry, dim_features[name])
+            return features._dimension_block(name, features.cache.get(name))
 
         if isinstance(model, L1LogisticRegression):
             self._kind = "linear"
@@ -142,13 +139,21 @@ class FactorizedScorer:
                 f"{type(model).__name__}"
             )
 
-    def predict_codes(self, X: FactorizedMatrix) -> np.ndarray:
-        """Predict label codes for an assembled factorized batch.
+    def predict_codes(
+        self, X: CategoricalMatrix | FactorizedMatrix
+    ) -> np.ndarray:
+        """Predict label codes for a batch assembled with every joined
+        dimension grouped.
 
         Per fact feature: one weight-table gather.  Per joined
         dimension: one ``contrib[dim_rows]`` gather.  The group blocks
         are never read — the per-dimension work was all done at load.
+        A strategy that joins nothing assembles a plain
+        :class:`~repro.ml.encoding.CategoricalMatrix`, scored as its
+        zero-group form.
         """
+        if isinstance(X, CategoricalMatrix):
+            X = FactorizedMatrix.from_categorical(X)
         if not isinstance(X, FactorizedMatrix):
             raise TypeError(
                 f"FactorizedScorer consumes FactorizedMatrix, got "

@@ -175,7 +175,7 @@ class PredictionServer:
         Serving execution engine.  ``"implicit"`` (the default) gathers
         each request batch into a :class:`CategoricalMatrix` and calls
         the artifact's own predict path.  ``"factorized"`` assembles
-        requests as :class:`~repro.ml.sparse.FactorizedMatrix` and
+        requests with every joined dimension grouped and
         scores them through a :class:`~repro.serving.factorized.FactorizedScorer`
         built at load time — every joined dimension's score
         contribution is precomputed per dimension row, so a served
@@ -345,8 +345,8 @@ class PredictionServer:
 
         The payloads are concatenated into one matrix and predicted in
         a single vectorized call, in submission order.  Under
-        ``engine="factorized"`` the batch is assembled without the
-        dimension gather and scored through the load-time
+        ``engine="factorized"`` the batch is assembled with every joined
+        dimension grouped and scored through the load-time
         :class:`~repro.serving.factorized.FactorizedScorer`.
         """
         if len(payloads) == 1:
@@ -360,7 +360,9 @@ class PredictionServer:
             }
         started = time.perf_counter()
         if self._scorer is not None:
-            X = self.features.assemble_factorized(merged)
+            X = self.features.assemble(
+                merged, grouped=self.features.joined_dimensions
+            )
             assembled = time.perf_counter()
             codes = self._scorer.predict_codes(X)
         else:

@@ -47,6 +47,7 @@ from repro.datasets.synthetic import (
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression
 from repro.ml.neural import MLPClassifier
+from repro.ml.sparse import FactorizedMatrix
 from repro.relational.join import join_subset
 from repro.relational.schema import KFKConstraint, StarSchema
 from repro.streaming.matrices import StreamingMatrices
@@ -249,7 +250,12 @@ def streaming_scale_report(
             streaming_peak_bytes=stream_peak,
             streaming_seconds=stream_seconds,
             streaming_train_accuracy=trainer.score(stream),
-            shard_working_set_bytes=X0.nbytes + X0.onehot_view().nbytes,
+            # A grouped shard is its own training operand; a gathered
+            # one adds the implicit view the models build over it.
+            shard_working_set_bytes=X0.nbytes + (
+                0 if isinstance(X0, FactorizedMatrix)
+                else X0.onehot_view().nbytes
+            ),
             shard_dense_equivalent_bytes=X0.n_rows * stream.onehot_width * 8,
             encode_latency_s=encode_snapshot,
             stage_seconds={

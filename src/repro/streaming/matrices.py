@@ -5,12 +5,18 @@ full :class:`~repro.ml.encoding.CategoricalMatrix` — the step that caps
 in-memory training at whatever fits in RAM.  :class:`StreamingMatrices`
 encodes the *same* features per shard instead, through the unified
 :class:`~repro.data.encoder.ShardEncoder`: each shard's fact rows are
-resolved against the cached dimension indexes and gathered into the
+resolved against the cached dimension indexes and assembled into the
 strategy's feature layout — the identical encode path the serving layer
-runs per micro-batch.  Because the shard's columns share the schema's
-closed domains, each shard's matrix is exactly the corresponding row
-block of the never-built full matrix — the invariant the equivalence
-suite asserts bit for bit.
+runs per micro-batch.  The encoder decides each joined dimension's
+layout per shard: a dimension whose shard fan-out reaches
+:data:`~repro.data.encoder.GROUP_FANOUT` stays grouped (a
+:class:`~repro.ml.sparse.FactorizedMatrix` shard), the rest are
+gathered.  Because the shard's columns share the schema's closed
+domains, each shard's matrix is exactly the corresponding row block of
+the never-built full matrix — the invariant the equivalence suite
+asserts bit for bit on gathered shards and to 1e-10 on grouped ones.
+A one-shard stream is always gathered: its one shard *is* the
+in-memory matrix.
 
 The class implements :class:`repro.data.FeatureSource`, the shard
 protocol consumed by
@@ -58,13 +64,6 @@ class StreamingMatrices(FeatureSource):
         streams (e.g. one experiment's train/validation/test splits),
         so each dimension's index is built once per run, not once per
         split.  Built fresh when omitted.
-    engine:
-        ``"implicit"``/``"dense"`` (default) assemble each shard as a
-        gathered :class:`~repro.ml.encoding.CategoricalMatrix`;
-        ``"factorized"`` assembles
-        :class:`~repro.ml.sparse.FactorizedMatrix` shards through
-        :meth:`~repro.data.encoder.ShardEncoder.encode_shard_factorized`,
-        skipping the per-row dimension gather entirely.
     """
 
     def __init__(
@@ -72,13 +71,9 @@ class StreamingMatrices(FeatureSource):
         sharded: ShardedDataset,
         strategy: JoinStrategy,
         encoder: ShardEncoder | None = None,
-        engine: str = "implicit",
     ):
-        from repro.ml.sparse import check_engine
-
         self.sharded = sharded
         self.strategy = strategy
-        self.engine = check_engine(engine)
         self.schema = sharded.schema
         if encoder is None:
             encoder = ShardEncoder(self.schema, strategy)
@@ -135,9 +130,9 @@ class StreamingMatrices(FeatureSource):
     def _assemble(self, shard: FactShard) -> tuple[CategoricalMatrix, np.ndarray]:
         """Encode one fact shard into ``(X, y)`` via the shared encoder."""
         try:
-            if self.engine == "factorized":
-                return self.encoder.encode_shard_factorized(shard.fact)
-            return self.encoder.encode_shard(shard.fact)
+            return self.encoder.encode_shard(
+                shard.fact, gather=self.n_shards == 1
+            )
         except ReferentialIntegrityError as error:
             raise ReferentialIntegrityError(
                 f"shard {shard.index}: {error}"

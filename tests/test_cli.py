@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -187,6 +189,23 @@ class TestCommands:
         assert code == 0
         expected = plain.strip().splitlines()[-1].split(" (")[0]
         assert expected in decorated
+
+    def test_fit_spills_a_grouping_stream(self, capsys, tmp_path):
+        """Grouped shards go through the spill cache like gathered ones:
+        the fit matches the plain one, and the telemetry counters show
+        the encoder kept dimensions grouped."""
+        argv = ["fit", "movies", "lr_l1", "--stream", "--shard-rows", "100",
+                "--strategy", "JoinAll", "--scale", "smoke"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        report = tmp_path / "fit.json"
+        assert main([*argv, "--spill-cache", "--telemetry", str(report)]) == 0
+        decorated = capsys.readouterr().out
+        expected = plain.strip().splitlines()[-1].split(" (")[0]
+        assert expected in decorated
+        metrics = json.loads(report.read_text())["metrics"]
+        assert metrics["data.encode.grouped_dims"] > 0
+        assert metrics["data.spill.hits"] > 0
 
     def test_fit_nonpositive_shard_spec_errors_cleanly(self, capsys):
         code = main(["fit", "yelp", "lr_l1", "--stream", "--shards", "0",

@@ -144,3 +144,80 @@ class TestTrainingThroughSpill:
             assert cached.stats.hits > cached.stats.misses
         assert np.array_equal(reference.coef_, model.coef_)
         assert reference.intercept_ == model.intercept_
+
+
+@pytest.fixture(scope="module")
+def grouping_dataset():
+    """Movies in 400-row shards: both dimensions' fan-outs (~17 and
+    ~29 rows per dimension row) keep them grouped under the rule."""
+    return generate_real_world("movies", n_fact=4000, seed=0)
+
+
+def _grouping_stream(dataset):
+    from repro.core import join_all_strategy
+
+    return join_all_strategy().streaming_matrices(dataset, shard_rows=400)
+
+
+def _arrays(X):
+    """Every array that defines a shard, in a fixed order."""
+    from repro.data.spill import _shard_arrays
+
+    return _shard_arrays(X, np.zeros(0))
+
+
+class TestGroupedShards:
+    def test_hit_shards_equal_miss_shards(self, grouping_dataset):
+        from repro.ml.sparse import FactorizedMatrix
+
+        stream = _grouping_stream(grouping_dataset)
+        with SpillCacheSource(stream) as cached:
+            misses = [X for _, X, _ in cached.iter_shards()]
+            hits = [X for _, X, _ in cached.iter_shards()]
+            assert cached.stats.hits == cached.stats.misses == stream.n_shards
+        assert all(isinstance(X, FactorizedMatrix) for X in misses)
+        assert all(X.groups for X in misses)
+        for miss, hit in zip(misses, hits):
+            assert type(hit) is type(miss)
+            names = [g.name for g in hit.groups]
+            assert names == [g.name for g in miss.groups]
+            a, b = _arrays(miss), _arrays(hit)
+            assert a.keys() == b.keys()
+            for name in a:
+                assert a[name].dtype == b[name].dtype, name
+                np.testing.assert_array_equal(a[name], b[name])
+
+    def test_spilled_fit_is_bit_identical(self, grouping_dataset):
+        from repro.ml.linear import L1LogisticRegression
+        from repro.streaming import StreamingTrainer
+
+        plain = L1LogisticRegression(max_iter=20, tol=0.0)
+        StreamingTrainer(plain).fit(_grouping_stream(grouping_dataset))
+        spilled = L1LogisticRegression(max_iter=20, tol=0.0)
+        with SpillCacheSource(_grouping_stream(grouping_dataset)) as cached:
+            StreamingTrainer(spilled).fit(cached)
+            assert cached.stats.hits > cached.stats.misses
+        assert np.array_equal(plain.coef_, spilled.coef_)
+        assert plain.intercept_ == spilled.intercept_
+
+    def test_corrupt_grouped_entry_is_reencoded(self, grouping_dataset):
+        from repro.obs import MetricsRegistry
+        from repro.resilience import (
+            CORRUPT_SPILL,
+            FaultSchedule,
+            FaultSpec,
+            corrupt_spill_entries,
+        )
+
+        registry = MetricsRegistry()
+        stream = _grouping_stream(grouping_dataset)
+        with SpillCacheSource(stream, registry=registry) as cached:
+            first = [_arrays(X) for _, X, _ in cached.iter_shards()]
+            schedule = FaultSchedule([FaultSpec(shard=1, kind=CORRUPT_SPILL)])
+            assert corrupt_spill_entries(schedule, cached) == [1]
+            second = [_arrays(X) for _, X, _ in cached.iter_shards()]
+        for a, b in zip(first, second):
+            for name in a:
+                np.testing.assert_array_equal(a[name], b[name])
+        assert registry.get("data.spill.corruptions").value == 1
+        assert cached.stats.misses == stream.n_shards + 1

@@ -1,16 +1,24 @@
-"""The factorized engine's contract: one algorithm, three layouts.
+"""The grouped layout's contract: one algorithm, three layouts.
 
-``FactorizedMatrix`` keeps the KFK join factorized — fact code columns
-plus per-dimension ``(|D|, d_R)`` blocks behind an FK indirection —
-while the implicit engine gathers and the dense engine one-hots.  Every
-kernel, trained model and served prediction must agree across the three
-to 1e-10 (bit-identical where the arithmetic is exact), under every
-join strategy, skewed and uniform FK distributions, empty and one-class
-shards, and unseen-FK serving rows.
+``FactorizedMatrix`` keeps a joined dimension grouped — fact code
+columns plus per-dimension ``(|D|, d_R)`` blocks behind an FK
+indirection — while the gathered layout copies the dimension features
+per fact row and the dense engine one-hots.  Every kernel, trained
+model and served prediction must agree across the three to 1e-10
+(bit-identical where the arithmetic is exact), under every join
+strategy, skewed and uniform FK distributions, mixed layouts (one
+dimension grouped, one gathered), empty and one-class shards, and
+unseen-FK serving rows.  The encoder's per-dimension layout rule
+(:data:`repro.data.encoder.GROUP_FANOUT`) is pinned on the paper's
+datasets without timing anything.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
+
+import repro.data.encoder as encoder_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +31,15 @@ from repro.core import (
 from repro.data import SourceSpec
 from repro.data.encoder import ShardEncoder
 from repro.datasets import (
+    REAL_WORLD_SPECS,
     OneXrScenario,
+    RealWorldSpec,
     SplitDataset,
     UniformFK,
     ZipfFK,
+    generate_real_world,
 )
+from repro.datasets.realworld import DimensionSpec
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression
 from repro.ml.naive_bayes import CategoricalNB
@@ -72,14 +84,67 @@ def star_dataset(
     return scenario.sample(seed)
 
 
-def encode_both(dataset, strategy, split="train"):
-    """One shard of a split, encoded gathered and factorized."""
+def two_dimension_dataset(skew=False, seed=0) -> SplitDataset:
+    """A star with a high-fan-out dimension ``R`` and a low one ``Q``."""
+    spec = RealWorldSpec(
+        name="two_dims",
+        n_fact=240,
+        d_s=2,
+        dimensions=(
+            DimensionSpec(
+                "R", tuple_ratio=20.0, n_features=3, xr_effect=1.0,
+                fk_effect=0.5, fk_skew=1.0 if skew else 0.0,
+            ),
+            DimensionSpec(
+                "Q", tuple_ratio=2.0, n_features=2, xr_effect=1.0,
+                fk_effect=0.0,
+            ),
+        ),
+    )
+    return spec.generate(seed=seed)
+
+
+def encode_both(dataset, strategy, split="train", grouped=None):
+    """One shard of a split, encoded gathered and with ``grouped``
+    dimensions (default: every joined one) kept grouped."""
     encoder = ShardEncoder(dataset.schema, strategy)
     rows = dataset.schema.fact.select(getattr(dataset, split))
-    gathered, y_g = encoder.encode_shard(rows)
-    factorized, y_f = encoder.encode_shard_factorized(rows)
-    assert np.array_equal(y_g, y_f)
-    return gathered, factorized, y_g
+    gathered, y = encoder.encode_shard(rows, gather=True)
+    factorized = encoder.assemble(
+        {column: rows.codes(column) for column in encoder.required_columns},
+        grouped=encoder.joined_dimensions if grouped is None else grouped,
+    )
+    if isinstance(factorized, CategoricalMatrix):
+        # Nothing joined (or nothing grouped): the zero-group form.
+        factorized = FactorizedMatrix.from_categorical(factorized)
+    return gathered, factorized, y
+
+
+def mixed_case(strategy, skew=False, seed=0, split="train"):
+    """:func:`encode_both` on the two-dimension star, ``R`` grouped and
+    ``Q`` gathered (under JoinAll: the mixed layout)."""
+    return encode_both(
+        two_dimension_dataset(skew=skew, seed=seed), strategy, split=split,
+        grouped=("R",),
+    )
+
+
+#: What the calibrated rule decides for movies at 2,000-row shards
+#: (fan-outs 8.3 for users and 13.5 for movies, both above
+#: ``GROUP_FANOUT = 8``).
+MOVIES_GROUPED_AT_2K = ("users", "movies")
+
+#: Layout-rule settings that group every dimension of a multi-shard
+#: stream, or gather every one.
+LAYOUTS = {"grouped": 0.0, "gathered": float("inf")}
+
+
+@contextlib.contextmanager
+def layout_rule(name):
+    """Pin :data:`~repro.data.encoder.GROUP_FANOUT` for one block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder_module, "GROUP_FANOUT", LAYOUTS[name])
+        yield
 
 
 class TestKernelEquivalence:
@@ -89,21 +154,23 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("skew", [False, True])
     def test_matmul_and_rmatmul(self, strategy_name, skew):
         dataset = star_dataset(skew=skew, seed=3)
-        gathered, factorized, _ = encode_both(
-            dataset, STRATEGIES[strategy_name]()
-        )
-        assert factorized.names == gathered.names
-        assert factorized.shape == (gathered.n_rows, gathered.onehot_width)
-        rng = np.random.default_rng(5)
-        w = rng.normal(size=factorized.width)
-        W = rng.normal(size=(factorized.width, 4))
-        v = rng.normal(size=factorized.n_rows)
-        V = rng.normal(size=(factorized.n_rows, 3))
-        view = gathered.onehot_view()
-        assert np.allclose(factorized.matmul(w), view.matmul(w), **TOL)
-        assert np.allclose(factorized.matmul(W), view.matmul(W), **TOL)
-        assert np.allclose(factorized.rmatmul(v), view.rmatmul(v), **TOL)
-        assert np.allclose(factorized.rmatmul(V), view.rmatmul(V), **TOL)
+        strategy = STRATEGIES[strategy_name]()
+        for gathered, factorized, _ in (
+            encode_both(dataset, strategy),
+            mixed_case(strategy, skew=skew, seed=3),
+        ):
+            assert factorized.names == gathered.names
+            assert factorized.shape == (gathered.n_rows, gathered.onehot_width)
+            rng = np.random.default_rng(5)
+            w = rng.normal(size=factorized.width)
+            W = rng.normal(size=(factorized.width, 4))
+            v = rng.normal(size=factorized.n_rows)
+            V = rng.normal(size=(factorized.n_rows, 3))
+            view = gathered.onehot_view()
+            assert np.allclose(factorized.matmul(w), view.matmul(w), **TOL)
+            assert np.allclose(factorized.matmul(W), view.matmul(W), **TOL)
+            assert np.allclose(factorized.rmatmul(v), view.rmatmul(v), **TOL)
+            assert np.allclose(factorized.rmatmul(V), view.rmatmul(V), **TOL)
 
     def test_gather_reproduces_the_code_table(self):
         dataset = star_dataset(seed=11)
@@ -167,7 +234,7 @@ class TestKernelEquivalence:
 
 
 class TestTrainingEquivalence:
-    """Hypothesis sweep: factorized ≡ implicit ≡ dense fitted models."""
+    """Hypothesis sweep: grouped ≡ gathered ≡ dense fitted models."""
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -181,15 +248,12 @@ class TestTrainingEquivalence:
         )
         strategy = STRATEGIES[strategy_name]()
         coefs = {}
-        for engine in ("implicit", "factorized"):
-            stream = strategy.streaming_matrices(
-                dataset, shard_rows=32, engine=engine
-            )
-            model = L1LogisticRegression(
-                lam=1e-3, max_iter=25, tol=0.0, engine=engine
-            )
-            StreamingTrainer(model).fit(stream)
-            coefs[engine] = (model.coef_, model.intercept_)
+        for layout in ("gathered", "grouped"):
+            with layout_rule(layout):
+                stream = strategy.streaming_matrices(dataset, shard_rows=32)
+                model = L1LogisticRegression(lam=1e-3, max_iter=25, tol=0.0)
+                StreamingTrainer(model).fit(stream)
+            coefs[layout] = (model.coef_, model.intercept_)
         matrices = strategy.matrices(dataset)
         dense = L1LogisticRegression(
             lam=1e-3, max_iter=25, tol=0.0, engine="dense"
@@ -197,11 +261,11 @@ class TestTrainingEquivalence:
         dense.fit(matrices.X_train, matrices.y_train)
         coefs["dense"] = (dense.coef_, dense.intercept_)
 
-        # All three engines run the same FISTA; only float association
-        # differs (shard grouping, factorized per-dimension totals), so
+        # All three run the same FISTA; only float association differs
+        # (shard grouping, grouped per-dimension totals), so
         # coefficients agree to 1e-10 across the board.
-        c_i, b_i = coefs["implicit"]
-        for engine in ("factorized", "dense"):
+        c_i, b_i = coefs["gathered"]
+        for engine in ("grouped", "dense"):
             c_e, b_e = coefs[engine]
             assert np.allclose(c_e, c_i, **TOL)
             assert abs(b_e - b_i) <= 1e-10
@@ -213,21 +277,20 @@ class TestTrainingEquivalence:
         dataset = star_dataset(n=80, n_r=4, d_s=1, d_r=2, skew=skew, seed=seed)
         strategy = join_all_strategy()
         fitted = {}
-        for engine in ("implicit", "factorized"):
-            stream = strategy.streaming_matrices(
-                dataset, shard_rows=17, engine=engine
-            )
-            model = CategoricalNB(alpha=1.0)
-            StreamingTrainer(model).fit(stream)
-            fitted[engine] = model
+        for layout in ("gathered", "grouped"):
+            with layout_rule(layout):
+                stream = strategy.streaming_matrices(dataset, shard_rows=17)
+                model = CategoricalNB(alpha=1.0)
+                StreamingTrainer(model).fit(stream)
+            fitted[layout] = model
         for log_i, log_f in zip(
-            fitted["implicit"].feature_log_prob_,
-            fitted["factorized"].feature_log_prob_,
+            fitted["gathered"].feature_log_prob_,
+            fitted["grouped"].feature_log_prob_,
         ):
             assert np.array_equal(log_i, log_f)
         assert np.array_equal(
-            fitted["implicit"].class_log_prior_,
-            fitted["factorized"].class_log_prior_,
+            fitted["gathered"].class_log_prior_,
+            fitted["grouped"].class_log_prior_,
         )
 
     def test_one_class_shards_train_identically(self):
@@ -254,22 +317,21 @@ class TestTrainingEquivalence:
         )
         strategy = join_all_strategy()
         coefs = {}
-        for engine in ("implicit", "factorized"):
-            stream = strategy.streaming_matrices(
-                sorted_dataset, shard_rows=10, engine=engine
-            )
-            model = L1LogisticRegression(
-                lam=1e-3, max_iter=20, tol=0.0, engine=engine
-            )
-            StreamingTrainer(model).fit(stream)
-            coefs[engine] = model.coef_
-        assert np.allclose(coefs["factorized"], coefs["implicit"], **TOL)
+        for layout in ("gathered", "grouped"):
+            with layout_rule(layout):
+                stream = strategy.streaming_matrices(
+                    sorted_dataset, shard_rows=10
+                )
+                model = L1LogisticRegression(lam=1e-3, max_iter=20, tol=0.0)
+                StreamingTrainer(model).fit(stream)
+            coefs[layout] = model.coef_
+        assert np.allclose(coefs["grouped"], coefs["gathered"], **TOL)
 
 
 ESTIMATORS = {
     "tree": lambda: DecisionTreeClassifier(unseen="majority"),
     "svc_implicit": lambda: KernelSVC(engine="implicit"),
-    "svc_factorized": lambda: KernelSVC(engine="factorized"),
+    "svc_dense": lambda: KernelSVC(engine="dense"),
     "knn": lambda: KNeighborsClassifier(),
     "mlp": lambda: MLPClassifier(hidden_sizes=(8,), epochs=3, random_state=0),
     "nb": lambda: CategoricalNB(),
@@ -285,15 +347,23 @@ class TestEveryEstimatorAcceptsFactorized:
     def test_grouped_input_predicts_like_its_gather(self, name):
         dataset = star_dataset(n=150, n_r=5, seed=43)
         strategy = join_all_strategy()
-        _, train, y = encode_both(dataset, strategy)
-        _, test, _ = encode_both(dataset, strategy, split="test")
-        assert train.groups and test.groups
-        grouped = ESTIMATORS[name]().fit(train, y)
-        gathered = ESTIMATORS[name]().fit(train.gather(), y)
-        for X in (train, test):
-            assert np.array_equal(
-                grouped.predict(X), gathered.predict(X.gather())
-            )
+        for (_, train, y), (_, test, _) in (
+            (
+                encode_both(dataset, strategy),
+                encode_both(dataset, strategy, split="test"),
+            ),
+            (
+                mixed_case(strategy, seed=43),
+                mixed_case(strategy, seed=43, split="test"),
+            ),
+        ):
+            assert train.groups and test.groups
+            grouped = ESTIMATORS[name]().fit(train, y)
+            gathered = ESTIMATORS[name]().fit(train.gather(), y)
+            for X in (train, test):
+                assert np.array_equal(
+                    grouped.predict(X), gathered.predict(X.gather())
+                )
 
 
 def _artifact(model, feature_names, dataset, model_key) -> ModelArtifact:
@@ -314,16 +384,13 @@ def _artifact(model, feature_names, dataset, model_key) -> ModelArtifact:
 
 def _train_served_model(dataset, model_key="lr_l1"):
     strategy = join_all_strategy()
-    stream = strategy.streaming_matrices(
-        dataset, shard_rows=64, engine="factorized"
-    )
-    if model_key == "lr_l1":
-        model = L1LogisticRegression(
-            lam=1e-3, max_iter=30, tol=0.0, engine="factorized"
-        )
-    else:
-        model = CategoricalNB(alpha=1.0)
-    StreamingTrainer(model).fit(stream)
+    with layout_rule("grouped"):
+        stream = strategy.streaming_matrices(dataset, shard_rows=64)
+        if model_key == "lr_l1":
+            model = L1LogisticRegression(lam=1e-3, max_iter=30, tol=0.0)
+        else:
+            model = CategoricalNB(alpha=1.0)
+        StreamingTrainer(model).fit(stream)
     return _artifact(model, stream.feature_names, dataset, model_key)
 
 
@@ -390,9 +457,11 @@ class TestFactorizedServing:
     def test_served_prediction_does_no_per_row_dimension_work(
         self, monkeypatch
     ):
-        """The load-time precompute means serving never gathers: neither
-        the implicit row-gather assembly nor ``FactorizedMatrix.gather``
-        may run under ``engine="factorized"``."""
+        """The load-time precompute means serving never gathers: the one
+        assembly must keep every joined dimension grouped (no dimension
+        column gathered per row), and neither
+        ``FactorizedMatrix.gather`` nor its gathered ``codes`` may run
+        under ``engine="factorized"``."""
         dataset = star_dataset(n=120, n_r=5, d_s=2, d_r=3, seed=59)
         artifact = _train_served_model(dataset)
         server = PredictionServer(
@@ -405,8 +474,19 @@ class TestFactorizedServing:
                 "factorized serving touched a per-row dimension gather"
             )
 
-        monkeypatch.setattr(ShardEncoder, "assemble", forbidden)
+        assemble = ShardEncoder.assemble
+        foreign = set(server.features._foreign_of)
+
+        def grouped_only(self, fact_codes, grouped=()):
+            X = assemble(self, fact_codes, grouped)
+            gathered = {X.names[p] for p in X.fact_positions}
+            if gathered & foreign:  # pragma: no cover - must not run
+                forbidden()
+            return X
+
+        monkeypatch.setattr(ShardEncoder, "assemble", grouped_only)
         monkeypatch.setattr(FactorizedMatrix, "gather", forbidden)
+        monkeypatch.setattr(FactorizedMatrix, "codes", property(forbidden))
         single = [server.predict_one(r) for r in rows]
         batched = server.predict_batch(rows)
         assert single == batched
@@ -425,23 +505,76 @@ class TestFactorizedServing:
         encoder = ShardEncoder(dataset.schema, join_all_strategy())
         scorer = FactorizedScorer(artifact, encoder)
         rows = dataset.schema.fact.select(dataset.test)
-        X_fact, _ = encoder.encode_shard_factorized(rows)
-        X_gathered, _ = encoder.encode_shard(rows)
+        codes = {c: rows.codes(c) for c in encoder.required_columns}
+        X_fact = encoder.assemble(codes, grouped=encoder.joined_dimensions)
+        X_gathered, _ = encoder.encode_shard(rows, gather=True)
         assert np.array_equal(
             scorer.predict_codes(X_fact),
             artifact.model.predict(X_gathered),
         )
 
 
-class TestSourceSpecEngine:
-    def test_factorized_spec_rejects_spill_cache(self):
-        with pytest.raises(ValueError, match="spill_cache"):
-            SourceSpec(shard_rows=8, engine="factorized", spill_cache=True)
+class TestLayoutRule:
+    """The encoder's per-dimension layout decision, pinned without
+    timing: it depends only on the shard's rows and each ``|D|``."""
 
-    def test_factorized_spec_builds_factorized_shards(self):
-        dataset = star_dataset(n=60, n_r=4, d_s=1, d_r=2, seed=97)
-        spec = SourceSpec(shard_rows=16, engine="factorized")
+    @staticmethod
+    def decisions(name, n_fact, shard_rows):
+        dataset = generate_real_world(name, n_fact=n_fact, seed=0)
+        encoder = ShardEncoder(dataset.schema, join_all_strategy())
+        fanouts = {
+            dim: shard_rows / size
+            for dim, size in encoder._dimension_sizes.items()
+        }
+        return fanouts, encoder.grouped_dimensions(shard_rows)
+
+    def test_paper_datasets_at_2k_row_shards(self):
+        # The calibration shape: 40k fact rows in 2,000-row shards.
+        fanouts, grouped = {}, {}
+        for name in REAL_WORLD_SPECS:
+            fanouts[name], grouped[name] = self.decisions(name, 40_000, 2_000)
+            for dim, fanout in fanouts[name].items():
+                assert (dim in grouped[name]) == (
+                    fanout >= encoder_module.GROUP_FANOUT
+                )
+        # Expedia's searches dimension has 10x more rows than a shard.
+        assert fanouts["expedia"]["searches"] == pytest.approx(0.10)
+        assert "searches" not in grouped["expedia"]
+        assert fanouts["movies"]["users"] == pytest.approx(8.26, abs=0.01)
+        assert fanouts["movies"]["movies"] == pytest.approx(13.51, abs=0.01)
+        assert grouped["movies"] == MOVIES_GROUPED_AT_2K
+
+    def test_books_at_the_stream_nb_fanouts_stays_gathered(self):
+        # 1M rows in 20k-row shards has the same fan-outs (0.18/0.10)
+        # as 50k rows in 1k-row shards: every dimension gathered, so
+        # the shard is today's plain CategoricalMatrix.
+        dataset = generate_real_world("books", n_fact=50_000, seed=0)
+        stream = join_all_strategy().streaming_matrices(
+            dataset, shard_rows=1_000
+        )
+        fanouts = {
+            dim: 1_000 / size
+            for dim, size in stream.encoder._dimension_sizes.items()
+        }
+        assert sorted(round(f, 2) for f in fanouts.values()) == [0.1, 0.18]
+        X, _ = stream.shard(0)
+        assert type(X) is CategoricalMatrix
+
+    def test_one_shard_stream_is_gathered(self):
+        dataset = star_dataset(n=200, n_r=2, d_s=1, d_r=2, seed=97)
+        stream = join_all_strategy().streaming_matrices(dataset, n_shards=1)
+        assert stream.encoder.grouped_dimensions(stream.n_rows) == ("R",)
+        X, _ = stream.shard(0)
+        assert type(X) is CategoricalMatrix
+
+    def test_high_fanout_spec_builds_grouped_shards(self):
+        dataset = star_dataset(n=200, n_r=2, d_s=1, d_r=2, seed=97)
+        spec = SourceSpec(shard_rows=64)
         source = spec.build(dataset, join_all_strategy(), "train")
         X, y = next(iter(source))
         assert isinstance(X, FactorizedMatrix)
+        assert [g.name for g in X.groups] == ["R"]
         assert X.n_rows == y.shape[0]
+        counters = source.encoder.metrics
+        assert counters.counter("data.encode.grouped_dims").value == 1
+        assert counters.counter("data.encode.gathered_dims").value == 0
