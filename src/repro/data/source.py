@@ -11,7 +11,8 @@ plus the schema/domain metadata needed to size model state up front.
 
 - **Shape without data**: ``n_rows``, ``n_shards``, ``shard_rows``,
   ``feature_names``, ``n_levels``, ``n_features``, ``onehot_width`` and
-  ``n_classes`` are all known before any shard is read.
+  ``n_classes`` are all known before any shard is read, and so is
+  ``resident``: whether a shard read only re-derives rows already in RAM.
 - **Random access**: ``shard(i)`` materialises shard ``i``'s
   ``(CategoricalMatrix, labels)`` pair; shards are deterministic and
   re-readable, which is what lets exact FISTA make one pass per
@@ -96,6 +97,16 @@ class FeatureSource:
         """Upper bound on the number of target classes."""
         raise NotImplementedError
 
+    @property
+    def resident(self) -> bool:
+        """Whether every shard is re-derived from rows already in RAM.
+
+        ``False`` (the default) means a shard read fetches data from
+        outside the process — a file, a generator — so holding every
+        shard would lift peak memory from one shard to the whole table.
+        """
+        return False
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -178,6 +189,10 @@ class SourceDecorator(FeatureSource):
     def n_classes(self) -> int:
         return self.source.n_classes
 
+    @property
+    def resident(self) -> bool:
+        return self.source.resident
+
     def shard(self, index: int):
         return self.source.shard(index)
 
@@ -197,12 +212,9 @@ class MatrixSource(FeatureSource):
     """Adapt one in-memory ``(X, y)`` pair to the shard protocol.
 
     With ``shard_rows=None`` (the default) the matrix is a single
-    shard, and — crucially for the equivalence contract — every
-    iteration yields the *same* matrix object, so per-object encoding
-    memos (:class:`repro.ml.linear.logistic._EncodingMemo`) hit on each
-    FISTA pass exactly as the pre-protocol ``fit`` did.  With a bound,
-    the matrix is cut into contiguous row blocks once, up front (the
-    blocks are small index copies of an already-resident matrix).
+    shard.  With a bound, the matrix is cut into contiguous row blocks
+    once, up front (the blocks are small index copies of an
+    already-resident matrix).  Either way the source is ``resident``.
     """
 
     def __init__(self, X, y, shard_rows: int | None = None):
@@ -255,6 +267,10 @@ class MatrixSource(FeatureSource):
         if self.y.size == 0:
             return 2
         return max(int(self.y.max()) + 1, 2)
+
+    @property
+    def resident(self) -> bool:
+        return True
 
     def shard(self, index: int):
         if not 0 <= index < len(self._shards):

@@ -80,9 +80,11 @@ class SourceSpec:
 
         The in-memory path materialises the strategy's matrices once
         (one join shared by all splits, as the tuned pipeline does);
-        the streaming path builds one shard stream per split, so no
-        split is ever resident whole.  Callers own the sources and
-        should ``close()`` them when done (spill caches hold disk).
+        the streaming path builds one shard stream per split; those
+        slice a dataset already in RAM, so they are ``resident`` and
+        exact FISTA keeps their encoded shards for its fit.  Callers
+        own the sources and should ``close()`` them when done (spill
+        caches hold disk).
 
         ``registry`` threads one metrics registry through the encoder
         and every decorator (the experiment runner passes the

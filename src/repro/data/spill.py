@@ -11,7 +11,10 @@ code matrix, or a grouped shard's fact codes, fact positions and each
 dimension group's resolved rows and code block — plus the label vector
 in an ``.npz`` file, bounded by an LRU byte budget.  Re-reads become one
 ``np.load`` instead of a re-parse and re-join, while peak *memory*
-stays one shard: the cache spills to disk, not to RAM.
+stays one shard: the cache spills to disk, not to RAM.  It is the tier
+for out-of-core sources, so it is not ``resident`` unless it passes a
+single shard straight through (exact FISTA keeps a resident source's
+shards in RAM instead, and re-reads this cache every pass).
 
 The decorator contract holds: cached shards are byte-identical to what
 the wrapped source produces (``tests/test_data_spill.py`` asserts it),
@@ -107,12 +110,12 @@ class SpillCacheSource(SourceDecorator):
     Parameters
     ----------
     source:
-        Any :class:`FeatureSource`.  Wrapping an already-cheap source
-        (an in-memory :class:`MatrixSource`) is allowed and harmless —
-        single-shard sources pass straight through uncached, since the
-        one shard is already resident — while the win comes from
-        multi-shard sources whose :meth:`shard` re-reads and re-encodes
-        external data.
+        Any :class:`FeatureSource`.  Single-shard sources pass straight
+        through uncached, since the one shard is already resident.  The
+        win comes from multi-shard sources whose :meth:`shard` re-reads
+        and re-encodes external data; over a multi-shard ``resident``
+        source the cache swaps exact FISTA's in-memory shard store for
+        disk loads.
     directory:
         Where shard files live.  ``None`` creates a private temporary
         directory that :meth:`close` deletes; an explicit directory is
@@ -168,6 +171,10 @@ class SpillCacheSource(SourceDecorator):
             corruptions=self._corruptions.value,
         )
 
+    @property
+    def resident(self) -> bool:
+        return self.source.n_shards <= 1 and self.source.resident
+
     # ------------------------------------------------------------------
     # Cache mechanics
     # ------------------------------------------------------------------
@@ -180,9 +187,9 @@ class SpillCacheSource(SourceDecorator):
         if self.source.n_shards <= 1:
             # A single-shard source is already its own best cache (the
             # in-memory adapters and StreamingMatrices both keep the one
-            # shard resident, and multi-pass consumers key encoding
-            # memos on object identity); spilling it would replace a
-            # resident object with a disk re-load per pass.
+            # shard resident, and this cache then reports ``resident``);
+            # spilling it would replace a resident object with a disk
+            # re-load per pass.
             return self.source.shard(index)
         if index in self._entries:
             self._entries.move_to_end(index)

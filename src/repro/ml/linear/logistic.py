@@ -33,6 +33,7 @@ from repro.data.source import MatrixSource
 from repro.ml import sparse
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
+from repro.obs import registry
 from repro.rng import ensure_rng
 
 
@@ -75,34 +76,33 @@ def _lipschitz_bound(X, seed: int = 0, iterations: int = 30) -> float:
     return max(sigma / (4.0 * n), 1e-12)
 
 
-class _EncodingMemo:
-    """Size-1 encoding cache keyed on matrix object identity.
+def _shard_passes(stream, engine: str):
+    """A callable yielding one pass of encoded ``(operand, ±1 labels)``.
 
-    An in-memory source (:class:`repro.data.MatrixSource`) yields the
-    *same* :class:`CategoricalMatrix` object every pass, so its encoding
-    is built once — matching the pre-streaming cost of ``fit``.  Out-of-
-    core sources yield fresh shard objects each pass and re-encode, as
-    they must: holding every shard's encoding would unbound memory.
+    A ``resident`` source (rows already in RAM) is read and encoded
+    once, and every pass iterates the kept shards — with the implicit
+    engine they cost about what the rows they came from already cost;
+    the dense engine keeps the full one-hot matrix.  Any other source is
+    re-read and re-encoded every pass, so peak memory stays one shard.
     """
+    reads = registry().counter("ml.fista.shard_reads")
 
-    __slots__ = ("engine", "_X", "_encoded")
-
-    def __init__(self, engine: str):
-        self.engine = engine
-        self._X = None
-        self._encoded = None
-
-    def __call__(self, X: CategoricalMatrix):
-        if X is not self._X:
-            self._X = X
-            self._encoded = sparse.encode_features(
-                X, self.engine, keep_groups=True
+    def read():
+        for X, y in stream:
+            reads.inc()
+            yield (
+                sparse.encode_features(X, engine, keep_groups=True),
+                np.where(np.asarray(y) > 0, 1.0, -1.0),
             )
-        return self._encoded
+
+    if not stream.resident:
+        return read
+    store = list(read())
+    return lambda: store
 
 
 def _lipschitz_bound_stream(
-    stream, encode: _EncodingMemo, seed: int = 0, iterations: int = 30
+    passes, n: int, width: int, seed: int = 0, iterations: int = 30
 ) -> float:
     """:func:`_lipschitz_bound` computed with one shard pass per power step.
 
@@ -111,8 +111,6 @@ def _lipschitz_bound_stream(
     shards once and keeps only width-sized state.  With a single shard
     the arithmetic matches :func:`_lipschitz_bound` exactly.
     """
-    n = int(stream.n_rows)
-    width = int(stream.onehot_width)
     rng = ensure_rng(seed)
     v = rng.normal(size=width)
     norm = np.linalg.norm(v)
@@ -122,8 +120,7 @@ def _lipschitz_bound_stream(
     sigma = 1.0
     for _ in range(iterations):
         acc = np.zeros(width)
-        for X, _ in stream:
-            encoded = encode(X)
+        for encoded, _ in passes():
             acc += sparse.rmatmul(encoded, sparse.matmul(encoded, v))
         v = acc
         norm = np.linalg.norm(v)
@@ -189,13 +186,16 @@ class L1LogisticRegression(Estimator):
         ``stream`` is any :class:`repro.data.FeatureSource` (the exact
         attributes used: ``n_rows``, ``onehot_width``, ``n_features``
         and a re-iterable ``__iter__`` of ``(CategoricalMatrix, labels)``
-        pairs in stable order).  Each FISTA iteration makes one pass over
-        the shards, accumulating the full-batch gradient; between shards
-        only width-sized state is held, so peak memory is bounded by the
-        largest shard regardless of ``n_rows``.  The iterates are the
-        full-batch ones — this is out-of-core execution, not an
-        approximate optimiser — and with a single shard the arithmetic
-        is bit-identical to :meth:`fit`.
+        pairs in stable order, plus ``resident``).  Each FISTA iteration
+        makes one pass over the shards, accumulating the full-batch
+        gradient.  A ``resident`` source (rows already in RAM) is read
+        and encoded once per fit, and the kept operands are dropped when
+        the fit returns.  Any other source is re-read every pass with
+        only width-sized state held between shards, so peak memory is
+        bounded by the largest shard regardless of ``n_rows``.  Either
+        way the iterates are the full-batch ones — this is out-of-core
+        execution, not an approximate optimiser — and with a single
+        shard the arithmetic is bit-identical to :meth:`fit`.
         """
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
@@ -211,36 +211,44 @@ class L1LogisticRegression(Estimator):
         else:
             w = np.zeros(width)
             b = 0.0
-        encode = _EncodingMemo(self.engine)
-        L = _lipschitz_bound_stream(stream, encode) + (
+        passes = _shard_passes(stream, self.engine)
+        L = _lipschitz_bound_stream(passes, n, width) + (
             0.25 if self.fit_intercept else 0.0
         )
+        held = 0
+        if stream.resident:
+            # Counted after the first kernel pass, which builds each
+            # operand's lazy flat-code cache.
+            held = sum(op.nbytes + signed.nbytes for op, signed in passes())
+        resident_bytes = registry().gauge("ml.fista.resident_bytes")
+        resident_bytes.add(held)
         step = 1.0 / L
         z_w, z_b, t_acc = w.copy(), b, 1.0
         self.n_iter_ = 0
-        for iteration in range(self.max_iter):
-            grad_w = np.zeros(width)
-            grad_b = 0.0
-            for X, y in stream:
-                encoded = encode(X)
-                signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
-                margin = signed * (sparse.matmul(encoded, z_w) + z_b)
-                probs = _sigmoid(-margin)
-                residual = -(signed * probs) / n
-                grad_w += sparse.rmatmul(encoded, residual)
-                if self.fit_intercept:
-                    grad_b += residual.sum()
-            w_new = _soft_threshold(z_w - step * grad_w, step * self.lam)
-            b_new = z_b - step * grad_b
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            momentum = (t_acc - 1.0) / t_new
-            z_w = w_new + momentum * (w_new - w)
-            z_b = b_new + momentum * (b_new - b)
-            delta = np.abs(w_new - w).max() if width else abs(b_new - b)
-            w, b, t_acc = w_new, b_new, t_new
-            self.n_iter_ = iteration + 1
-            if delta < self.tol:
-                break
+        try:
+            for iteration in range(self.max_iter):
+                grad_w = np.zeros(width)
+                grad_b = 0.0
+                for encoded, signed in passes():
+                    margin = signed * (sparse.matmul(encoded, z_w) + z_b)
+                    probs = _sigmoid(-margin)
+                    residual = -(signed * probs) / n
+                    grad_w += sparse.rmatmul(encoded, residual)
+                    if self.fit_intercept:
+                        grad_b += residual.sum()
+                w_new = _soft_threshold(z_w - step * grad_w, step * self.lam)
+                b_new = z_b - step * grad_b
+                t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+                momentum = (t_acc - 1.0) / t_new
+                z_w = w_new + momentum * (w_new - w)
+                z_b = b_new + momentum * (b_new - b)
+                delta = np.abs(w_new - w).max() if width else abs(b_new - b)
+                w, b, t_acc = w_new, b_new, t_new
+                self.n_iter_ = iteration + 1
+                if delta < self.tol:
+                    break
+        finally:
+            resident_bytes.add(-held)
         self.coef_ = w
         self.intercept_ = b
         self.n_features_ = int(stream.n_features)

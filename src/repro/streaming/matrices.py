@@ -87,11 +87,9 @@ class StreamingMatrices(FeatureSource):
         self.n_levels: tuple[int, ...] = self.encoder.n_levels
         # With a single shard the assembled matrix *is* the whole
         # dataset, so caching it costs no more memory than one assembly
-        # already peaked at — and saves the multi-pass consumers
-        # (exact FISTA re-iterates the stream per iteration) from
-        # re-joining identical rows hundreds of times.  Multi-shard
-        # streams deliberately re-assemble per pass: that is the price
-        # of the bounded footprint.
+        # already peaked at.  Multi-shard streams re-assemble per read;
+        # a multi-pass consumer keeps the assembled shards itself when
+        # the stream is ``resident`` (see :attr:`resident`).
         self._single_shard_cache: tuple[CategoricalMatrix, np.ndarray] | None = (
             None
         )
@@ -113,6 +111,11 @@ class StreamingMatrices(FeatureSource):
     def shard_rows(self) -> int:
         """Upper bound on rows per shard."""
         return self.sharded.shard_rows
+
+    @property
+    def resident(self) -> bool:
+        """One cached shard, or shards sliced from an in-memory table."""
+        return self.n_shards == 1 or self.sharded.resident
 
     @property
     def n_classes(self) -> int:

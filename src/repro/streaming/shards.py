@@ -208,7 +208,12 @@ class ShardedDataset:
         provide it so full passes avoid re-scanning per shard.
     source:
         Human-readable provenance for ``repr``.
+
+    ``resident`` is ``True`` only for :meth:`from_split` and
+    :meth:`from_table`, whose loaders slice a table already in memory.
     """
+
+    resident = False
 
     def __init__(
         self,
@@ -327,7 +332,9 @@ class ShardedDataset:
             start, stop = plan.bounds(index)
             return schema.fact.select(rows[start:stop])
 
-        return cls(schema, plan, load, source=f"split:{dataset.name}/{split}")
+        sharded = cls(schema, plan, load, source=f"split:{dataset.name}/{split}")
+        sharded.resident = True
+        return sharded
 
     @classmethod
     def from_table(
@@ -343,7 +350,9 @@ class ShardedDataset:
             start, stop = plan.bounds(index)
             return schema.fact.select(np.arange(start, stop))
 
-        return cls(schema, plan, load, source=f"table:{schema.fact.name}")
+        sharded = cls(schema, plan, load, source=f"table:{schema.fact.name}")
+        sharded.resident = True
+        return sharded
 
     @classmethod
     def from_population(

@@ -54,7 +54,7 @@ class TestCaching:
     def test_single_shard_source_passes_straight_through(self, train_matrix):
         """Regression: spilling a single-shard source must not replace
         its resident (identity-stable) shard with per-pass disk loads —
-        that would defeat the encoding memo on every FISTA iteration."""
+        that would make every FISTA pass re-load and re-encode it."""
         inner = MatrixSource(*train_matrix)
         with SpillCacheSource(inner) as cached:
             (X1, _), (X2, _) = cached.shard(0), cached.shard(0)
